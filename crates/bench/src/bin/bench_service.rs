@@ -64,8 +64,8 @@ struct RunReport {
 #[derive(Serialize)]
 struct SloTenantReport {
     key: String,
-    /// Windowed join → batch-start p99, microseconds (`null` without the
-    /// `telemetry` feature or on an empty window).
+    /// Windowed join → batch-start p99, microseconds (`null` on an empty
+    /// window).
     queue_wait_p99_us: Option<f64>,
     /// Windowed batch-start → publish p99, microseconds.
     run_p99_us: Option<f64>,
@@ -100,7 +100,7 @@ struct TsdbReport {
     stored_bytes: u64,
     /// What those samples would cost as plain `(i64, f64)` pairs.
     raw_bytes: u64,
-    /// `raw_bytes / stored_bytes` (zero without the `telemetry` feature).
+    /// `raw_bytes / stored_bytes` (zero for an empty store).
     compression_ratio: f64,
 }
 
@@ -174,7 +174,7 @@ fn run_round(
 
     // Sample the metrics registry and the service signals into the
     // time-series store for the round's duration, the way `coolopt-serve
-    // --collect-every` does (a no-op without the `telemetry` feature).
+    // --collect-every` does.
     let collector = {
         let core = Arc::clone(&core);
         telemetry::Collector::new(0.05)

@@ -1,8 +1,7 @@
 //! Multi-reader [`SnapshotCell`] behaviour: readers racing a publishing
 //! writer always observe a published snapshot whose fingerprint belongs to
 //! the published set, generations are monotone, and the generation counter
-//! agrees with the telemetry swap counter (when the metrics core is
-//! compiled in).
+//! agrees with the telemetry swap counter.
 
 use coolopt_core::{IndexSnapshot, ModelFingerprint, PowerTerms, SnapshotCell};
 use coolopt_telemetry as telemetry;
@@ -76,10 +75,8 @@ fn readers_race_swaps_without_tearing() {
     // binary may publish concurrently, so exact equality is per-cell only).
     assert_eq!(cell.generation(), ROUNDS as u64);
     assert_eq!(cell.load().unwrap().fingerprint(), fingerprints[ROUNDS - 1]);
-    if telemetry::metrics_enabled() {
-        let swapped = telemetry::counter("coolopt_snapshot_swaps_total").get() - swaps_before;
-        assert!(swapped >= ROUNDS as u64);
-    }
+    let swapped = telemetry::counter("coolopt_snapshot_swaps_total").get() - swaps_before;
+    assert!(swapped >= ROUNDS as u64);
 }
 
 /// Re-registration churn: a writer re-registers the same cell with a
@@ -169,7 +166,5 @@ fn hit_path_bumps_neither_generation_nor_swaps() {
             .unwrap();
     }
     assert_eq!(cell.generation(), generation);
-    if telemetry::metrics_enabled() {
-        assert!(telemetry::counter("coolopt_snapshot_hits_total").get() >= hits_before + 5);
-    }
+    assert!(telemetry::counter("coolopt_snapshot_hits_total").get() >= hits_before + 5);
 }

@@ -315,16 +315,14 @@ fn main() {
         "wrote energy dashboard",
         path = dashboard_path.display().to_string()
     );
-    if telemetry::metrics_enabled() {
-        let trace_path = results_dir.join(format!("trace_{}.json", report.name));
-        std::fs::write(&trace_path, telemetry::flight_snapshot().to_chrome_json())
-            .expect("results dir is writable");
-        telemetry::info!(
-            "ablation",
-            "wrote chrome trace",
-            path = trace_path.display().to_string()
-        );
-    }
+    let trace_path = results_dir.join(format!("trace_{}.json", report.name));
+    std::fs::write(&trace_path, telemetry::flight_snapshot().to_chrome_json())
+        .expect("results dir is writable");
+    telemetry::info!(
+        "ablation",
+        "wrote chrome trace",
+        path = trace_path.display().to_string()
+    );
     if json {
         println!("{}", report.to_json());
     } else if !telemetry::events_quiet() {

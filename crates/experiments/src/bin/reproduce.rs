@@ -404,9 +404,8 @@ fn emit_dashboard(
     );
 }
 
-/// Writes the run report (and, with metrics compiled in, the Chrome-trace
-/// artifact captured by the flight recorder) and prints the stdout
-/// document/table.
+/// Writes the run report and the Chrome-trace artifact captured by the
+/// flight recorder, and prints the stdout document/table.
 fn emit_report(report: &RunReport, results_dir: &std::path::Path, json: bool, source: &str) {
     let path = report
         .write_to(results_dir)
@@ -416,16 +415,14 @@ fn emit_report(report: &RunReport, results_dir: &std::path::Path, json: bool, so
         "wrote run report",
         path = path.display().to_string()
     );
-    if telemetry::metrics_enabled() {
-        let trace_path = results_dir.join(format!("trace_{}.json", report.name));
-        std::fs::write(&trace_path, telemetry::flight_snapshot().to_chrome_json())
-            .expect("results dir is writable");
-        telemetry::info!(
-            source,
-            "wrote chrome trace",
-            path = trace_path.display().to_string()
-        );
-    }
+    let trace_path = results_dir.join(format!("trace_{}.json", report.name));
+    std::fs::write(&trace_path, telemetry::flight_snapshot().to_chrome_json())
+        .expect("results dir is writable");
+    telemetry::info!(
+        source,
+        "wrote chrome trace",
+        path = trace_path.display().to_string()
+    );
     if json {
         println!("{}", report.to_json());
     } else if !telemetry::events_quiet() {

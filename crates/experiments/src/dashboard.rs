@@ -1,14 +1,13 @@
 //! Self-contained HTML energy dashboards for experiment runs.
 //!
 //! Charts are assembled from two sources: the run outcome itself (the
-//! per-plateau computing/cooling energy split — available in every build)
-//! and the process-global [time-series store](coolopt_telemetry::tsdb)
+//! per-plateau computing/cooling energy split) and the process-global [time-series store](coolopt_telemetry::tsdb)
 //! (power and `T_max`-margin series streamed by
 //! [`RuntimeOptions::tsdb_prefix`](crate::runtime::RuntimeOptions::tsdb_prefix)
 //! and
-//! [`MultiZoneOptions::tsdb_prefix`](crate::multizone::MultiZoneOptions::tsdb_prefix)
-//! — empty without the `telemetry` feature, which renders as explicit
-//! placeholders rather than missing charts). The rendered file is one
+//! [`MultiZoneOptions::tsdb_prefix`](crate::multizone::MultiZoneOptions::tsdb_prefix);
+//! a prefix nothing streamed renders as explicit placeholders rather than
+//! missing charts). The rendered file is one
 //! dependency-free HTML document with inline SVG and no scripts; see
 //! [`coolopt_telemetry::render_dashboard`].
 
@@ -44,9 +43,8 @@ pub fn energy_chart(segments: &[SegmentEnergy]) -> Chart {
 
 /// The plant charts for every store series under `prefix`: one power chart
 /// (all `*_watts` series — computing vs cooling, per-zone where recorded)
-/// and one "T_max margin" chart. Both charts are always present; without
-/// the `telemetry` feature (or before any run streamed samples) they render
-/// as placeholders.
+/// and one "T_max margin" chart. Both charts are always present; before
+/// any run streamed samples they render as placeholders.
 pub fn plant_charts(prefix: &str) -> Vec<Chart> {
     let results = telemetry::tsdb().query_matching(&format!("{prefix}.*"), &RangeQuery::default());
     let mut power: Vec<ChartSeries> = Vec::new();
@@ -135,19 +133,17 @@ mod tests {
         assert_eq!(charts[1].title, "T_max margin");
         assert!(charts.iter().all(|c| c.series.is_empty()));
 
-        if telemetry::metrics_enabled() {
-            let db = telemetry::tsdb();
-            for i in 0..10i64 {
-                db.append("dash_test_plant.computing_watts", i * 1000, 100.0);
-                db.append("dash_test_plant.cooling_watts", i * 1000, 40.0);
-                db.append("dash_test_plant.margin_kelvin", i * 1000, 5.0);
-            }
-            let charts = plant_charts("dash_test_plant");
-            assert_eq!(charts[0].series.len(), 2, "both power series plotted");
-            assert_eq!(charts[1].series.len(), 1);
-            assert_eq!(charts[1].series[0].label, "margin_kelvin");
-            assert_eq!(charts[1].series[0].points.len(), 10);
+        let db = telemetry::tsdb();
+        for i in 0..10i64 {
+            db.append("dash_test_plant.computing_watts", i * 1000, 100.0);
+            db.append("dash_test_plant.cooling_watts", i * 1000, 40.0);
+            db.append("dash_test_plant.margin_kelvin", i * 1000, 5.0);
         }
+        let charts = plant_charts("dash_test_plant");
+        assert_eq!(charts[0].series.len(), 2, "both power series plotted");
+        assert_eq!(charts[1].series.len(), 1);
+        assert_eq!(charts[1].series[0].label, "margin_kelvin");
+        assert_eq!(charts[1].series[0].points.len(), 10);
     }
 
     #[test]

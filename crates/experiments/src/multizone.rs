@@ -81,8 +81,7 @@ pub struct MultiZoneOptions {
     /// When set, both variants stream per-zone plant series into the
     /// process-global [time-series store](coolopt_telemetry::tsdb):
     /// `{prefix}.{variant}.zone{z}.computing_watts` plus room-level
-    /// `cooling_watts` and `margin_kelvin`, on the simulation clock. A
-    /// no-op without the `telemetry` feature.
+    /// `cooling_watts` and `margin_kelvin`, on the simulation clock.
     pub tsdb_prefix: Option<&'static str>,
 }
 
@@ -118,7 +117,7 @@ pub struct VariantOutcome {
     pub min_margin_kelvin: f64,
     /// Whether the plant reached steady state within the settle budget.
     pub settled: bool,
-    /// Watchdog verdict (`None` when telemetry is compiled out).
+    /// Watchdog verdict (`None` on the unwatched uniform variant).
     pub health: Option<HealthReport>,
 }
 
@@ -234,18 +233,15 @@ fn run_variant(
     let mut min_margin = f64::INFINITY;
     // Per-zone series names are built once; the measure loop only appends.
     let variant = if watch { "per_zone" } else { "uniform" };
-    let tsdb_names: Option<(Vec<String>, String, String)> = options
-        .tsdb_prefix
-        .filter(|_| telemetry::metrics_enabled())
-        .map(|prefix| {
-            (
-                (0..room.zone_count())
-                    .map(|z| format!("{prefix}.{variant}.zone{z}.computing_watts"))
-                    .collect(),
-                format!("{prefix}.{variant}.cooling_watts"),
-                format!("{prefix}.{variant}.margin_kelvin"),
-            )
-        });
+    let tsdb_names: Option<(Vec<String>, String, String)> = options.tsdb_prefix.map(|prefix| {
+        (
+            (0..room.zone_count())
+                .map(|z| format!("{prefix}.{variant}.zone{z}.computing_watts"))
+                .collect(),
+            format!("{prefix}.{variant}.cooling_watts"),
+            format!("{prefix}.{variant}.margin_kelvin"),
+        )
+    });
     for k in 0..steps {
         room.step();
         computing += room.computing_power().as_watts();
@@ -296,7 +292,7 @@ fn run_variant(
         max_cpu: Temperature::from_kelvin(max_cpu),
         min_margin_kelvin: min_margin,
         settled,
-        health: if watch { monitor.finish() } else { None },
+        health: watch.then(|| monitor.finish()),
     })
 }
 

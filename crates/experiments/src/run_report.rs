@@ -28,8 +28,7 @@ pub const RUN_REPORT_SCHEMA: &str = "coolopt-telemetry-run-v1";
 /// Exports the flight recorder's drop count as the
 /// `coolopt_flight_records_dropped` gauge and returns it, so report
 /// builders that snapshot the registry right after carry the count in
-/// both the run report and the Prometheus exposition. Zero (and no
-/// gauge) without the `telemetry` feature.
+/// both the run report and the Prometheus exposition.
 pub fn export_flight_dropped() -> u64 {
     let dropped = coolopt_telemetry::flight_dropped();
     coolopt_telemetry::gauge("coolopt_flight_records_dropped").set(dropped as f64);
@@ -46,8 +45,8 @@ pub struct RunReport {
     /// Which scenario document the run was driven by (name + content hash
     /// of the canonical JSON), when one was involved.
     pub scenario: Option<ScenarioSection>,
-    /// Whether the metrics core was compiled in (when `false`, the metrics
-    /// section is structurally present but empty).
+    /// Always `true` (the metrics core is in every build); the field is
+    /// part of the frozen `coolopt-telemetry-run-v1` schema.
     pub metrics_enabled: bool,
     /// Flight-recorder records lost to ring lap or contention — non-zero
     /// means the exported Chrome trace is incomplete.
@@ -58,8 +57,7 @@ pub struct RunReport {
     pub trace: Option<TraceSection>,
     /// Analytic-replay observables, when the run replayed a trace.
     pub replay: Option<ReplaySection>,
-    /// Model-health watchdog verdicts, when the run drove a trace with
-    /// telemetry compiled in.
+    /// Model-health watchdog verdicts, when the run drove a trace.
     pub health: Option<HealthSection>,
     /// Multi-zone per-zone-vs-uniform comparison, when the run drove a
     /// multi-zone scenario.

@@ -94,7 +94,7 @@ pub struct RuntimeOptions {
     /// [`record_every`](RuntimeOptions::record_every) cadence:
     /// `{prefix}.computing_watts`, `{prefix}.cooling_watts` and
     /// `{prefix}.margin_kelvin`, stamped with *simulation* milliseconds
-    /// (not wall time). A no-op without the `telemetry` feature.
+    /// (not wall time).
     pub tsdb_prefix: Option<String>,
 }
 
@@ -154,8 +154,8 @@ pub struct TraceOutcome {
     pub plan_failures: usize,
     /// Recorded total-power series.
     pub power_series: TimeSeries,
-    /// Model-health watchdog verdict (`None` when telemetry is compiled
-    /// out — the no-op monitor observes nothing).
+    /// Model-health watchdog verdict. Every run fills it; it stays an
+    /// `Option` so documents without the field still deserialize.
     #[serde(default)]
     pub health: Option<HealthReport>,
 }
@@ -395,7 +395,7 @@ pub fn run_load_trace_with(
             health.observe_margin(now, t_max.as_kelvin() - hottest);
         }
         // Residual samples additionally follow the recorder cadence.
-        if telemetry::metrics_enabled() && settled && k % every == 0 {
+        if settled && k % every == 0 {
             for (i, s) in testbed.room.servers().iter().enumerate() {
                 let pred = predicted[i];
                 if s.is_on() && pred.is_finite() {
@@ -405,7 +405,7 @@ pub fn run_load_trace_with(
         }
         // The time-series store gets the energy split and the safety
         // margin at the same cadence, on the simulation clock.
-        if telemetry::metrics_enabled() && k % every == 0 {
+        if k % every == 0 {
             if let Some(prefix) = &options.tsdb_prefix {
                 let db = telemetry::tsdb();
                 let sim_ms = (now.as_secs_f64() * 1000.0) as i64;
@@ -456,7 +456,7 @@ pub fn run_load_trace_with(
         replans,
         plan_failures,
         power_series: recorder.to_series(0),
-        health: health.finish(),
+        health: Some(health.finish()),
     })
 }
 

@@ -73,6 +73,13 @@ fn write_dashboard(path: &str) {
     }
 }
 
+/// Prints one stats snapshot to stderr as a single JSON line — the same
+/// document the wire `stats` command answers.
+fn print_stats(core: &ServiceCore) {
+    let stats = serde_json::to_string(&core.stats_doc()).expect("stats snapshots always encode");
+    eprintln!("coolopt-serve: stats {stats}");
+}
+
 /// The clean-shutdown tail: one last collector sample, one stats line, one
 /// dashboard rewrite — so short-lived runs (stdin pipes, smoke tests) still
 /// leave complete artifacts behind.
@@ -84,8 +91,7 @@ fn emit_final(
     if let Some(handle) = collector {
         handle.sample_now();
     }
-    let stats = serde_json::to_string(&core.stats_doc()).expect("stats snapshots always encode");
-    eprintln!("coolopt-serve: stats {stats}");
+    print_stats(core);
     if let Some(path) = dashboard {
         write_dashboard(path);
     }
@@ -155,7 +161,7 @@ fn main() -> ExitCode {
     }
 
     // The background collector feeds the time-series store behind the
-    // `query` command (a no-op without the `telemetry` feature).
+    // `query` command.
     let collector = (collect_every > 0.0).then(|| {
         let core = Arc::clone(&core);
         telemetry::Collector::new(collect_every)
@@ -170,9 +176,7 @@ fn main() -> ExitCode {
         // process (the snapshot never blocks planning traffic).
         std::thread::spawn(move || loop {
             std::thread::sleep(Duration::from_secs_f64(secs));
-            let stats =
-                serde_json::to_string(&core.stats_doc()).expect("stats snapshots always encode");
-            eprintln!("coolopt-serve: stats {stats}");
+            print_stats(&core);
         });
     }
 

@@ -87,8 +87,7 @@ pub type BatchOutcome = Result<Vec<Option<Consolidation>>, SolveError>;
 /// queue-wait grows under contention, run grows with engine cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchMeta {
-    /// Flight-recorder span id of the serving `service_batch` span
-    /// (0 when telemetry is compiled out).
+    /// Flight-recorder span id of the serving `service_batch` span.
     pub span_id: u64,
     /// This submission's join → batch start.
     pub queue_wait: Duration,
@@ -131,12 +130,6 @@ impl Batch {
     }
 }
 
-/// Histogram bounds for the coalesced batch-size distribution (loads per
-/// `query_batch` call).
-pub const BATCH_SIZE_BUCKETS: &[f64] = &[
-    1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0,
-];
-
 /// One tenant's admission/coalescing state. See the module docs for the
 /// protocol.
 #[derive(Debug)]
@@ -150,7 +143,7 @@ pub struct Coalescer {
     /// Loads pending (filling or awaiting the token) — the backpressure
     /// meter.
     queued: AtomicUsize,
-    /// Process-wide always-on statistics, shared across tenants.
+    /// Process-wide statistics, shared across tenants.
     stats: Arc<ServiceStats>,
     /// Numeric tenant handle for span attribution.
     tenant_attr: u64,
@@ -211,7 +204,6 @@ impl Coalescer {
         if queued > self.config.max_queued {
             self.queued.fetch_sub(count, Ordering::AcqRel);
             self.stats.record_shed(count);
-            telemetry::counter("coolopt_service_shed_total").add(count as u64);
             return Err(Shed {
                 queued,
                 limit: self.config.max_queued,
@@ -296,14 +288,9 @@ impl Coalescer {
             inner.span_id = span.id();
             std::mem::take(&mut inner.loads)
         };
-        let remaining = self.queued.fetch_sub(loads.len(), Ordering::AcqRel) - loads.len();
+        self.queued.fetch_sub(loads.len(), Ordering::AcqRel);
         span.set_attr("size", loads.len());
         self.stats.record_batch(loads.len());
-        telemetry::counter("coolopt_service_batches_total").inc();
-        telemetry::counter("coolopt_service_plans_total").add(loads.len() as u64);
-        telemetry::histogram_with("coolopt_service_batch_size", BATCH_SIZE_BUCKETS)
-            .observe(loads.len() as f64);
-        telemetry::gauge("coolopt_service_queue_depth").set(remaining as f64);
 
         // Plan — outside every lock but the run token, against whatever
         // snapshot is published *now* (a concurrent re-registration swaps

@@ -1,4 +1,4 @@
-//! The service core: registry + coalescers + always-on statistics.
+//! The service core: registry + coalescers + statistics.
 
 use crate::coalesce::CoalesceConfig;
 use crate::registry::TenantRegistry;
@@ -6,6 +6,7 @@ use crate::tenant::{zone_parts, ContentMeta, Tenant, TenantId};
 use crate::{PlanResult, ServiceError};
 use coolopt_core::PowerTerms;
 use coolopt_scenario::{Scenario, SloPolicy};
+use coolopt_telemetry::{HistogramSnapshot, RegistrySnapshot};
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -44,8 +45,9 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Always-on service counters, independent of the `telemetry` feature so
-/// the bench and the wire layer can report them in every build. Plain
+/// The service-wide counters: the one place plans, batches, coalesced
+/// joins, sheds and batch sizes are counted. The `stats` document, the
+/// Prometheus exposition and the time-series samples all read them. Plain
 /// relaxed atomics — each is a single uncontended-in-the-common-case add.
 #[derive(Debug, Default)]
 pub struct ServiceStats {
@@ -124,6 +126,32 @@ impl StatsSnapshot {
             return 0.0;
         }
         self.shed as f64 / attempts as f64
+    }
+
+    /// Adds the service metrics to `registry` under their exposition
+    /// names: `coolopt_service_{plans,batches,shed}_total` and the
+    /// `coolopt_service_batch_size` histogram, rebuilt exactly from the
+    /// log₂ buckets — bucket `i` gets `le` = 2^(i+1) − 1 (the last one
+    /// `+Inf`), `_count` = batches and `_sum` = plans.
+    pub(crate) fn export_into(&self, registry: &mut RegistrySnapshot) {
+        for (name, value) in [
+            ("coolopt_service_plans_total", self.plans),
+            ("coolopt_service_batches_total", self.batches),
+            ("coolopt_service_shed_total", self.shed),
+        ] {
+            registry.counters.insert(name.to_string(), value);
+        }
+        let batch_size = HistogramSnapshot {
+            bounds: (1..self.batch_size_log2.len())
+                .map(|i| ((1u64 << i) - 1) as f64)
+                .collect(),
+            counts: self.batch_size_log2.clone(),
+            sum: self.plans as f64,
+            count: self.batches,
+        };
+        registry
+            .histograms
+            .insert("coolopt_service_batch_size".to_string(), batch_size);
     }
 }
 
@@ -276,10 +304,10 @@ impl ServiceCore {
     }
 
     /// Appends one sample of every service-level signal into `db` at
-    /// `now_ms`: the global counters plus, per tenant, queue depth and SLO
-    /// burn rates. This is the [`coolopt_telemetry::Collector`] source the
-    /// serve binary registers; without the `telemetry` feature the store
-    /// is a no-op and the call costs a few atomic loads.
+    /// `now_ms`: the global counters plus, per tenant, plans served (SLO
+    /// attempts − shed), queue depth and SLO burn rates. This is the
+    /// [`coolopt_telemetry::Collector`] source the serve binary registers,
+    /// and the only writer of service series in the store.
     pub fn sample_into(&self, db: &coolopt_telemetry::Tsdb, now_ms: i64) {
         let snapshot = self.stats.snapshot();
         db.append("coolopt_service.plans", now_ms, snapshot.plans as f64);
@@ -293,6 +321,11 @@ impl ServiceCore {
         for tenant in self.tenants() {
             let verdict = tenant.slo_verdict();
             let prefix = format!("coolopt_service.tenant.{}", tenant.key());
+            db.append(
+                &format!("{prefix}.plans"),
+                now_ms,
+                verdict.attempts.saturating_sub(verdict.shed) as f64,
+            );
             db.append(&format!("{prefix}.queued"), now_ms, tenant.queued() as f64);
             db.append(
                 &format!("{prefix}.burn_fast"),

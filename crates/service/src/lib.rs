@@ -25,15 +25,15 @@
 //!   [`CoalesceConfig::max_queued`] pending loads a submission is **shed
 //!   with an explicit error** ([`ServiceError::Overloaded`]) rather than
 //!   queued without bound.
-//! * [`ServiceCore`] — ties the two together and carries always-on
+//! * [`ServiceCore`] — ties the two together and carries the
 //!   [`ServiceStats`] (plans served, batches, shed count, batch-size
-//!   distribution) plus, with the `telemetry` feature, per-tenant counters,
-//!   latency histograms and `service_batch → plan_batch → reply` flight-
-//!   recorder spans.
+//!   distribution; the one global count of each, which the `stats`,
+//!   `metrics` and `query` surfaces all read), a reply-latency histogram
+//!   and `service_batch → plan_batch → reply` flight-recorder spans.
 //! * The **observability plane** — every submission's latency is split
 //!   into *queue wait* (join → batch start) and *run* (batch start →
 //!   publish) and recorded into per-tenant sliding-window histograms;
-//!   an always-on per-tenant SLO engine ([`slo`]) does error-budget and
+//!   a per-tenant SLO engine ([`slo`]) does error-budget and
 //!   multi-window burn-rate accounting against the tenant's declared
 //!   [`SloPolicy`] (service default or the scenario's policy block),
 //!   raising `warn`-level events with tail-sampled exemplar span ids on

@@ -158,16 +158,20 @@ impl Response {
 pub const METRICS_REPLY_SCHEMA: &str = "coolopt-service-metrics-v1";
 
 /// The `{"cmd": "metrics"}` answer: Prometheus text exposition wrapped in
-/// one JSON line (empty exposition without the `telemetry` feature).
+/// one JSON line.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricsReply {
     /// Always [`METRICS_REPLY_SCHEMA`].
     pub schema: String,
-    /// Whether the metrics core is compiled in.
+    /// Always `true` (frozen v1 field).
     pub metrics_enabled: bool,
     /// Flight-recorder records lost to ring lap or contention.
     pub flight_dropped: u64,
-    /// Prometheus text exposition of the full metrics registry.
+    /// Prometheus text exposition of the full metrics registry plus the
+    /// service counters, rendered from the same [`StatsSnapshot`] values
+    /// the `stats` document reports.
+    ///
+    /// [`StatsSnapshot`]: crate::StatsSnapshot
     pub prometheus: String,
 }
 
@@ -197,12 +201,12 @@ pub struct SeriesDoc {
 }
 
 /// The `{"cmd": "query"}` answer: compressed metric history out of the
-/// embedded time-series store (empty without the `telemetry` feature).
+/// embedded time-series store.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QueryReply {
     /// Always [`QUERY_REPLY_SCHEMA`].
     pub schema: String,
-    /// Whether the storage core is compiled in.
+    /// Always `true` (frozen v1 field).
     pub tsdb_enabled: bool,
     /// Echo of the effective series selector.
     pub pattern: String,
@@ -232,7 +236,7 @@ pub struct QueryReply {
 pub struct TraceReply {
     /// Always [`TRACE_REPLY_SCHEMA`].
     pub schema: String,
-    /// Whether the tracing core is compiled in.
+    /// Always `true` (frozen v1 field).
     pub trace_enabled: bool,
     /// Records in the full snapshot before the `limit` cut.
     pub total_records: u64,
@@ -314,11 +318,13 @@ pub fn handle_request(core: &ServiceCore, line: &str) -> Reply {
             // plain Prometheus scrape sees recorder health.
             let dropped = telemetry::flight_dropped();
             telemetry::gauge("coolopt_flight_records_dropped").set(dropped as f64);
+            let mut exposition = telemetry::snapshot();
+            core.stats().snapshot().export_into(&mut exposition);
             Reply::Metrics(MetricsReply {
                 schema: METRICS_REPLY_SCHEMA.to_string(),
                 metrics_enabled: telemetry::metrics_enabled(),
                 flight_dropped: dropped,
-                prometheus: telemetry::render_prometheus(),
+                prometheus: exposition.render_prometheus(),
             })
         }
         Some("query") => match handle_query(&request) {

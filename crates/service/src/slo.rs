@@ -1,9 +1,8 @@
 //! Per-tenant SLO engine: error budgets, multi-window burn rates, and
 //! tail-sampled exemplars.
 //!
-//! Every tenant carries an [`SloState`] — always compiled, independent of
-//! the `telemetry` feature, because shedding and budget decisions must
-//! work in every build. It counts *attempts* (every submitted load) and
+//! Every tenant carries an [`SloState`]. It counts *attempts* (every
+//! submitted load — the tenant's only count of its traffic) and
 //! *bad* outcomes (shed by backpressure, or served over the declared
 //! latency threshold) in a ring of rotating windows of plain relaxed
 //! atomics, so recording is lock-free and allocation-free.
@@ -20,7 +19,7 @@
 //! Breaching submissions are tail-sampled as [`Exemplar`]s carrying the
 //! flight-recorder span id of the micro-batch that served them, so a slow
 //! plan in a `stats` scrape links directly to its `service_batch` span in
-//! the exported Chrome trace (span id 0 when telemetry is compiled out).
+//! the exported Chrome trace.
 
 use coolopt_scenario::SloPolicy;
 use coolopt_telemetry as telemetry;
@@ -45,7 +44,7 @@ const EXEMPLAR_CAP: usize = 4;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Exemplar {
     /// `service_batch` span id in the flight recorder / Chrome trace
-    /// (0 when telemetry is compiled out or the batch had no span).
+    /// (0 when the batch had no span).
     pub span_id: u64,
     /// The breaching submission's client-visible latency.
     pub latency_seconds: f64,
@@ -103,7 +102,7 @@ struct WindowSlot {
     bad: AtomicU64,
 }
 
-/// Always-on per-tenant SLO accounting. See the module docs.
+/// Per-tenant SLO accounting. See the module docs.
 #[derive(Debug)]
 pub(crate) struct SloState {
     /// Tenant key, for event attribution.

@@ -1,10 +1,9 @@
 //! The service stats snapshot document: schema `coolopt-service-stats-v1`.
 //!
 //! [`ServiceCore::stats_doc`] freezes the whole observability plane into
-//! one serializable [`ServiceStatsDoc`]: the always-on service counters
-//! with their derived rates, the flight recorder's drop count, and one
-//! row per tenant carrying windowed queue-wait/run quantiles and the SLO
-//! verdict. This is what the in-protocol `stats` command returns and what
+//! one serializable [`ServiceStatsDoc`]: the service counters with their
+//! derived rates, the flight recorder's drop count, and one row per
+//! tenant carrying windowed queue-wait/run quantiles and the SLO verdict. This is what the in-protocol `stats` command returns and what
 //! `coolopt-serve --stats-every` prints, so a live service is scrapeable
 //! over the same wire that carries planning traffic.
 //!
@@ -23,8 +22,7 @@ use serde::Serialize;
 pub const SERVICE_STATS_SCHEMA: &str = "coolopt-service-stats-v1";
 
 /// Windowed latency quantiles for one attribution stage, in microseconds.
-/// All quantiles are `null` when the window recorded nothing (including
-/// every build without the `telemetry` feature).
+/// All quantiles are `null` when the window recorded nothing.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LatencyDoc {
     /// Loads recorded in the window.
@@ -106,8 +104,7 @@ impl TenantStatsDoc {
 pub struct ServiceStatsDoc {
     /// Always [`SERVICE_STATS_SCHEMA`].
     pub schema: String,
-    /// Whether the metrics core is compiled in (windowed quantiles are
-    /// structurally present but `null` without it).
+    /// Always `true` (frozen v1 field).
     pub metrics_enabled: bool,
     /// Seconds since the service core was constructed.
     pub uptime_seconds: f64,
@@ -115,7 +112,7 @@ pub struct ServiceStatsDoc {
     pub window_seconds: f64,
     /// Windows retained per tenant.
     pub windows: usize,
-    /// The always-on service counters.
+    /// The service counters.
     pub totals: StatsSnapshot,
     /// Mean loads per drained micro-batch (0 before the first batch).
     pub mean_batch_size: f64,

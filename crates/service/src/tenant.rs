@@ -124,24 +124,20 @@ pub struct Tenant {
     /// alias id derived from it, so re-registration can retire the stale
     /// alias.
     content: Mutex<ContentMeta>,
-    /// Per-tenant served-plans counter (a leaked static name — bounded by
-    /// the number of distinct tenants a process ever registers, the same
-    /// lifetime the metrics registry itself gives every metric).
-    plans: &'static telemetry::Counter,
-    /// Windowed latency attribution + always-on SLO accounting.
+    /// Windowed latency attribution + SLO accounting.
     obs: TenantObs,
 }
 
 /// Per-tenant observability state: windowed queue-wait/run histograms
-/// (zero-sized without the `telemetry` feature) and the always-compiled
-/// [`SloState`].
+/// and the [`SloState`], whose attempts are the tenant's one count of
+/// submitted loads.
 #[derive(Debug)]
 struct TenantObs {
     /// Join → batch start, per load, over the sliding window.
     queue_wait: telemetry::WindowedHistogram,
     /// Batch start → answers published, per load, over the sliding window.
     run: telemetry::WindowedHistogram,
-    /// Error-budget / burn-rate accounting (always on).
+    /// Error-budget / burn-rate accounting.
     slo: SloState,
 }
 
@@ -158,7 +154,6 @@ impl Tenant {
     /// overrides it per the scenario's policy block.
     pub(crate) fn new(key: &str, config: &ServiceConfig, stats: Arc<ServiceStats>) -> Self {
         let id = TenantId::of(key);
-        let plans = telemetry::counter(leak_metric_name(key));
         let obs = TenantObs {
             queue_wait: telemetry::WindowedHistogram::new(
                 telemetry::DEFAULT_LATENCY_BUCKETS,
@@ -183,7 +178,6 @@ impl Tenant {
             cell: SnapshotCell::new(),
             coalescer: Coalescer::new(config.coalesce, stats, id.raw()),
             content: Mutex::new(ContentMeta::default()),
-            plans,
             obs,
         }
     }
@@ -322,7 +316,6 @@ impl Tenant {
             elapsed,
             meta.map_or(0, |m| m.span_id),
         );
-        self.plans.add(n);
         telemetry::histogram("coolopt_service_reply_seconds").observe(elapsed);
         Ok(results)
     }
@@ -382,24 +375,14 @@ impl Tenant {
     }
 
     /// Windowed queue-wait latency (join → batch start) over the last
-    /// `windows` windows. Empty without the `telemetry` feature.
+    /// `windows` windows.
     pub fn queue_wait_windowed(&self, windows: usize) -> telemetry::HistogramSnapshot {
         self.obs.queue_wait.windowed(windows)
     }
 
     /// Windowed batch-run latency (batch start → publish) over the last
-    /// `windows` windows. Empty without the `telemetry` feature.
+    /// `windows` windows.
     pub fn run_windowed(&self, windows: usize) -> telemetry::HistogramSnapshot {
         self.obs.run.windowed(windows)
     }
-}
-
-/// Leaks a per-tenant metric name into a `'static` string, sanitized to
-/// the metric-name alphabet. Bounded by the number of distinct tenants.
-fn leak_metric_name(key: &str) -> &'static str {
-    let sanitized: String = key
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    Box::leak(format!("coolopt_service_tenant_{sanitized}_plans_total").into_boxed_str())
 }

@@ -1,12 +1,15 @@
 //! The observability plane end to end: SLO defaults and scenario
 //! overrides, burn-rate alerting with exemplars resolvable in the flight
-//! recorder, the in-protocol `stats`/`metrics` scrape (schema-checked),
-//! scrape safety concurrent with re-registration/eviction/traffic, and
-//! the zero-denominator pins for every derived rate.
+//! recorder, the in-protocol `stats`/`metrics` scrape (schema-checked, and
+//! the exposition equal to the core's own counters), scrape safety
+//! concurrent with re-registration/eviction/traffic, tenant churn that
+//! leaves the metrics registry unchanged, and the zero-denominator pins
+//! for every derived rate.
 
 use coolopt_scenario::{presets, SloPolicy};
 use coolopt_service::{
-    proto, LatencyDoc, ServiceConfig, ServiceCore, SloVerdict, StatsSnapshot, SERVICE_STATS_SCHEMA,
+    proto, tenant, LatencyDoc, ServiceConfig, ServiceCore, SloVerdict, StatsSnapshot,
+    SERVICE_STATS_SCHEMA,
 };
 use coolopt_telemetry as telemetry;
 use serde::{get_field, Value};
@@ -85,22 +88,20 @@ fn breaches_raise_the_burn_alert_and_capture_exemplars() {
     assert!(!verdict.healthy);
     assert!(!verdict.exemplars.is_empty(), "breaches are tail-sampled");
 
-    // With telemetry compiled in, the exemplar's span id resolves to the
-    // `service_batch` span in the flight recorder and the Chrome trace.
-    if telemetry::metrics_enabled() {
-        let span_id = verdict.exemplars.last().unwrap().span_id;
-        assert_ne!(span_id, 0, "exemplars carry the serving batch span");
-        let snapshot = telemetry::flight_snapshot();
-        let record = snapshot
-            .records
-            .iter()
-            .find(|r| r.id == span_id)
-            .expect("exemplar span id resolves in the flight recorder");
-        assert_eq!(record.name, "service_batch");
-        assert!(snapshot
-            .to_chrome_json()
-            .contains(&format!("\"id\":{span_id}")));
-    }
+    // The exemplar's span id resolves to the `service_batch` span in the
+    // flight recorder and the Chrome trace.
+    let span_id = verdict.exemplars.last().unwrap().span_id;
+    assert_ne!(span_id, 0, "exemplars carry the serving batch span");
+    let snapshot = telemetry::flight_snapshot();
+    let record = snapshot
+        .records
+        .iter()
+        .find(|r| r.id == span_id)
+        .expect("exemplar span id resolves in the flight recorder");
+    assert_eq!(record.name, "service_batch");
+    assert!(snapshot
+        .to_chrome_json()
+        .contains(&format!("\"id\":{span_id}")));
 }
 
 #[test]
@@ -143,7 +144,7 @@ fn stats_scrape_answers_the_schema_in_protocol() {
     );
     assert_eq!(
         get_field(fields, "metrics_enabled").unwrap(),
-        &Value::Bool(telemetry::metrics_enabled())
+        &Value::Bool(true)
     );
     assert!(
         get_field(fields, "uptime_seconds")
@@ -171,14 +172,10 @@ fn stats_scrape_answers_the_schema_in_protocol() {
         assert!(get_field(slo, "alerting").unwrap() == &Value::Bool(true));
         let queue_wait = get_field(row, "queue_wait").unwrap().as_object().unwrap();
         let count = get_field(queue_wait, "count").unwrap().as_u64().unwrap();
-        if telemetry::metrics_enabled() {
-            assert_eq!(count, 3, "windowed attribution records per load");
-            let p50 = get_field(queue_wait, "p50_us").unwrap().as_f64().unwrap();
-            let p99 = get_field(queue_wait, "p99_us").unwrap().as_f64().unwrap();
-            assert!(p50 <= p99);
-        } else {
-            assert_eq!(count, 0, "windowed histograms are no-ops");
-        }
+        assert_eq!(count, 3, "windowed attribution records per load");
+        let p50 = get_field(queue_wait, "p50_us").unwrap().as_f64().unwrap();
+        let p99 = get_field(queue_wait, "p99_us").unwrap().as_f64().unwrap();
+        assert!(p50 <= p99);
     }
 }
 
@@ -191,14 +188,74 @@ fn metrics_scrape_answers_prometheus_in_protocol() {
     let line = proto::handle_line(&core, r#"{"cmd":"metrics"}"#);
     let reply: proto::MetricsReply = serde_json::from_str(&line).unwrap();
     assert_eq!(reply.schema, proto::METRICS_REPLY_SCHEMA);
-    assert_eq!(reply.metrics_enabled, telemetry::metrics_enabled());
-    if telemetry::metrics_enabled() {
-        assert!(reply.prometheus.contains("coolopt_service_plans_total"));
-        assert!(reply.prometheus.contains("coolopt_flight_records_dropped"));
-    } else {
-        assert!(reply.prometheus.is_empty());
-        assert_eq!(reply.flight_dropped, 0);
+    assert!(reply.metrics_enabled);
+    assert!(reply.prometheus.contains("coolopt_flight_records_dropped"));
+
+    // The four service metrics render this core's own counters, not a
+    // process-wide tally shared with every other core.
+    let stats = core.stats().snapshot();
+    assert_eq!((stats.plans, stats.batches, stats.shed), (2, 1, 0));
+    let value = |series: &str| -> f64 {
+        reply
+            .prometheus
+            .lines()
+            .find_map(|line| line.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("{series} missing from:\n{}", reply.prometheus))
+    };
+    assert_eq!(value("coolopt_service_plans_total"), stats.plans as f64);
+    assert_eq!(value("coolopt_service_batches_total"), stats.batches as f64);
+    assert_eq!(value("coolopt_service_shed_total"), stats.shed as f64);
+    assert_eq!(
+        value("coolopt_service_batch_size_count"),
+        stats.batches as f64
+    );
+    assert_eq!(value("coolopt_service_batch_size_sum"), stats.plans as f64);
+    let last = stats.batch_size_log2.len() - 1;
+    let mut cumulative = 0;
+    for (i, count) in stats.batch_size_log2.iter().enumerate() {
+        cumulative += count;
+        let le = if i == last {
+            "+Inf".to_string()
+        } else {
+            ((1u64 << (i + 1)) - 1).to_string()
+        };
+        let bucket = format!("coolopt_service_batch_size_bucket{{le=\"{le}\"}}");
+        assert_eq!(value(&bucket), cumulative as f64, "{bucket}");
     }
+}
+
+#[test]
+fn tenant_churn_leaves_the_metrics_registry_unchanged() {
+    let core = ServiceCore::default();
+    let part = tenant::zone_parts(&presets::testbed_rack20(0))
+        .unwrap()
+        .remove(0);
+    // One tenant's whole life: publish, an identical re-publish (a cache
+    // hit), planning with a sequential-path load, eviction.
+    let live_and_evict = |key: &str| {
+        core.register_parts(key, &part.pairs, part.terms).unwrap();
+        core.register_parts(key, &part.pairs, part.terms).unwrap();
+        core.submit(key, &[1.0, -1.0]).unwrap();
+        core.evict(key).unwrap();
+    };
+    let names = || {
+        let snap = telemetry::snapshot();
+        (
+            snap.counters.into_keys().collect::<Vec<_>>(),
+            snap.gauges.into_keys().collect::<Vec<_>>(),
+            snap.histograms.into_keys().collect::<Vec<_>>(),
+        )
+    };
+    // The first tenant registers every per-call metric name (the scrape
+    // registers the recorder-drop gauge); after that, tenants add none.
+    live_and_evict("churn/first");
+    proto::handle_line(&core, r#"{"cmd":"metrics"}"#);
+    let before = names();
+    for i in 0..1_000 {
+        live_and_evict(&format!("churn/{i}"));
+    }
+    assert_eq!(names(), before, "tenant churn registered new metric names");
+    assert!(core.tenants().is_empty());
 }
 
 #[test]
@@ -266,7 +323,7 @@ fn scrapes_are_safe_concurrent_with_reregistration_and_eviction() {
 
 #[test]
 fn derived_rates_are_pinned_at_zero_denominators() {
-    // Always-on counters with no traffic.
+    // Service counters with no traffic.
     let empty = StatsSnapshot {
         plans: 0,
         batches: 0,
@@ -323,44 +380,61 @@ fn query_scrape_answers_compressed_history_in_protocol() {
     assert_eq!(reply.pattern, "obs_query.*");
     assert_eq!(reply.agg, "mean");
     assert_eq!(reply.step_ms, 0);
-    assert_eq!(reply.tsdb_enabled, telemetry::metrics_enabled());
-    if telemetry::metrics_enabled() {
-        assert_eq!(reply.series.len(), 1, "prefix match hits one series");
-        let doc = &reply.series[0];
-        assert_eq!(doc.name, "obs_query.power_watts");
-        assert_eq!(doc.appended, 300);
-        assert_eq!(doc.points.len(), 300, "raw window returns every sample");
-        assert_eq!(doc.points[0], (0, 40.0));
-        assert!(doc.compression_ratio > 1.0, "steady series compress");
-        assert!(reply.total_series >= 1 && reply.total_points >= 300);
-        assert!(reply.total_stored_bytes > 0);
-        assert!(reply.compression_ratio > 1.0);
+    assert!(reply.tsdb_enabled);
+    assert_eq!(reply.series.len(), 1, "prefix match hits one series");
+    let doc = &reply.series[0];
+    assert_eq!(doc.name, "obs_query.power_watts");
+    assert_eq!(doc.appended, 300);
+    assert_eq!(doc.points.len(), 300, "raw window returns every sample");
+    assert_eq!(doc.points[0], (0, 40.0));
+    assert!(doc.compression_ratio > 1.0, "steady series compress");
+    assert!(reply.total_series >= 1 && reply.total_points >= 300);
+    assert!(reply.total_stored_bytes > 0);
+    assert!(reply.compression_ratio > 1.0);
 
-        // Step alignment + aggregator + window + limit, all honored.
-        let line = proto::handle_line(
-            &core,
-            r#"{"cmd":"query","series":"obs_query.power_watts","start_ms":0,"end_ms":9999,"step_ms":1000,"agg":"max","limit":7}"#,
+    // Step alignment + aggregator + window + limit, all honored.
+    let line = proto::handle_line(
+        &core,
+        r#"{"cmd":"query","series":"obs_query.power_watts","start_ms":0,"end_ms":9999,"step_ms":1000,"agg":"max","limit":7}"#,
+    );
+    let reply: proto::QueryReply = serde_json::from_str(&line).unwrap();
+    assert_eq!(reply.agg, "max");
+    assert_eq!(reply.step_ms, 1000);
+    let doc = &reply.series[0];
+    assert_eq!(doc.points.len(), 7, "limit keeps the newest points");
+    assert_eq!(doc.points.last().unwrap().0, 9000);
+    for &(t, v) in &doc.points {
+        assert_eq!(t % 1000, 0, "bucket timestamps align to the step");
+        assert!((40.0..=46.0).contains(&v));
+    }
+
+    // The collector source landed the service-level series too, including
+    // the per-tenant plan count (SLO attempts − shed).
+    for series in [
+        "coolopt_service.plans",
+        "coolopt_service.tenant.testbed_rack20/rack.plans",
+    ] {
+        let line = proto::handle_line(&core, &format!(r#"{{"cmd":"query","series":"{series}"}}"#));
+        let reply: proto::QueryReply = serde_json::from_str(&line).unwrap();
+        assert_eq!(reply.series.len(), 1, "{series}");
+        assert_eq!(reply.series[0].points, vec![(75_000, 2.0)], "{series}");
+    }
+
+    // Sampling the registry (the serve collector does both) adds no second
+    // series for any service count.
+    telemetry::sample_registry_into(db, 75_000);
+    for duplicate in [
+        "coolopt_service_plans_total",
+        "coolopt_service_batches_total",
+        "coolopt_service_shed_total",
+        "coolopt_service_batch_size:count",
+        "coolopt_service_queue_depth",
+    ] {
+        assert!(
+            db.query(duplicate, &telemetry::RangeQuery::default())
+                .is_none(),
+            "{duplicate} duplicates a sample_into series"
         );
-        let reply: proto::QueryReply = serde_json::from_str(&line).unwrap();
-        assert_eq!(reply.agg, "max");
-        assert_eq!(reply.step_ms, 1000);
-        let doc = &reply.series[0];
-        assert_eq!(doc.points.len(), 7, "limit keeps the newest points");
-        assert_eq!(doc.points.last().unwrap().0, 9000);
-        for &(t, v) in &doc.points {
-            assert_eq!(t % 1000, 0, "bucket timestamps align to the step");
-            assert!((40.0..=46.0).contains(&v));
-        }
-
-        // The collector source landed the service-level series too.
-        let line = proto::handle_line(&core, r#"{"cmd":"query","series":"coolopt_service.plans"}"#);
-        let reply: proto::QueryReply = serde_json::from_str(&line).unwrap();
-        assert_eq!(reply.series.len(), 1);
-        assert!(reply.series[0].points.iter().any(|&(_, v)| v >= 2.0));
-    } else {
-        assert!(reply.series.is_empty(), "no-op store holds nothing");
-        assert_eq!(reply.total_points, 0);
-        assert_eq!(reply.compression_ratio, 0.0);
     }
 
     // An unknown aggregator is a request-level error, not a panic.
@@ -391,7 +465,7 @@ fn trace_scrape_ships_a_bounded_chrome_fragment() {
     );
     assert_eq!(
         get_field(fields, "trace_enabled").unwrap(),
-        &Value::Bool(telemetry::metrics_enabled())
+        &Value::Bool(true)
     );
     let total = get_field(fields, "total_records")
         .unwrap()
@@ -409,9 +483,5 @@ fn trace_scrape_ships_a_bounded_chrome_fragment() {
         .as_array()
         .unwrap();
     assert_eq!(events.len() as u64, returned);
-    if telemetry::metrics_enabled() {
-        assert!(returned > 0, "submissions record spans");
-    } else {
-        assert_eq!(total, 0);
-    }
+    assert!(returned > 0, "submissions record spans");
 }

@@ -153,3 +153,27 @@ fn proto_round_trips_and_reports_errors() {
     );
     assert!(explicit.ok && explicit.results.len() == 1);
 }
+
+#[test]
+fn deeply_nested_lines_are_refused_without_overflowing_the_stack() {
+    // A spawned thread has the default 2 MiB stack, the same budget a TCP
+    // connection thread of `coolopt-serve` parses with.
+    std::thread::spawn(|| {
+        let core = ServiceCore::default();
+        core.register_scenario(&presets::testbed_rack20(0)).unwrap();
+
+        let line = proto::handle_line(&core, &"[".repeat(1_000_000));
+        assert_eq!(line.lines().count(), 1, "one reply line");
+        let refused: proto::Response = serde_json::from_str(&line).unwrap();
+        assert!(!refused.ok);
+        assert!(
+            refused.error.unwrap().contains("recursion limit exceeded"),
+            "{line}"
+        );
+
+        let next = plan_reply(&core, r#"{"tenant":"testbed_rack20/rack","load":1.0}"#);
+        assert!(next.ok && next.results[0].feasible);
+    })
+    .join()
+    .expect("the parsing thread survives");
+}

@@ -1,7 +1,5 @@
-//! Self-contained single-file HTML dashboard (always compiled — like
-//! [`crate::render`] and [`crate::tracefmt`], the exporter renders plain
-//! frozen data, so it works identically with or without the storage
-//! core; a no-op build just has nothing to feed it).
+//! Self-contained single-file HTML dashboard. Like [`crate::render`] and
+//! [`crate::tracefmt`], the exporter renders plain frozen data.
 //!
 //! The output is one static HTML document with inline CSS and inline SVG
 //! line charts — no JavaScript, no external assets, safe to archive next

@@ -1,4 +1,4 @@
-//! The structured progress-event stream (always compiled).
+//! The structured progress-event stream.
 //!
 //! Events replace ad-hoc `eprintln!` progress lines: each has a level, a
 //! target (the subsystem emitting it), a message and `key=value` fields.

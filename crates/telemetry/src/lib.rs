@@ -24,89 +24,66 @@
 //!   fields and three sinks: human text on stderr, JSON lines on stderr,
 //!   or quiet. Binaries map `--json`/`--quiet` onto [`init_events`].
 //!
-//! # Feature gate
+//! # One build
 //!
-//! The metrics core is behind the `enabled` feature (downstream crates
-//! forward it as their `telemetry` feature). Without it, every metric type
-//! is an inlined zero-sized no-op with the *same API*: instrumented call
-//! sites compile unchanged, the optimizer deletes them, and the build
-//! contains no registry symbols. [`snapshot`] then returns an empty
-//! [`RegistrySnapshot`], so exporters keep working (they just report
-//! nothing). The event stream is *not* gated — it is cold-path operator
-//! output, not instrumentation.
+//! Everything above is compiled into every build. The crate once had an
+//! `enabled` feature whose absence swapped in a zero-sized no-op mirror of
+//! this API; it was deleted after measuring both builds (2-vCPU Intel Xeon
+//! VM, release, interleaved runs): the full `reproduce` binary took a
+//! median 0.352 s instrumented vs 0.359 s uninstrumented over 14 pairs,
+//! with interquartile ranges of 24–32 % of the median, and the in-process
+//! `bench_service` rounds gave the uninstrumented build a median +3.4 %
+//! plans/s over 18 pairs (spread −15 % … +38 %), under 1 µs of a ≈28 µs
+//! submission. Over TCP a request spends ≈40 ms waiting on the reply
+//! write against ≈0.13 ms of request handling. [`metrics_enabled`] is
+//! therefore always `true`, and the `enabled` feature selects nothing.
 //!
 //! [`merge`]: RegistrySnapshot::merge
 
 #![warn(missing_docs)]
 
+// Two groups, in this order: declaration order shapes code layout, and
+// one alphabetical list measured ~10 % slower per sweep run on the
+// `reproduce` benchmark workload.
 mod dashboard;
 mod event;
 mod render;
 mod tracefmt;
 mod tsdbfmt;
 
+mod metrics;
+mod registry;
+mod tracing;
+mod tsdb;
+mod window;
+
 pub use dashboard::{render_dashboard, Chart, ChartSeries};
 pub use event::{
     emit, events_json, events_quiet, init_events, set_min_level, FieldValue, Level, SinkMode,
+};
+pub use metrics::{Counter, Gauge, Histogram, SpanTimer, DEFAULT_LATENCY_BUCKETS};
+pub use registry::{
+    counter, describe, gauge, histogram, histogram_with, render_prometheus, snapshot, Registry,
 };
 pub use render::{
     escape_prom_help, escape_prom_label_value, HistogramSnapshot, RegistrySnapshot, METRICS_SCHEMA,
 };
 pub use tracefmt::{Attr, RecordKind, TraceRecord, TraceSnapshot};
-pub use tsdbfmt::{
-    aggregate, wall_ms, Agg, QueryResult, RangeQuery, SeriesStats, TsdbConfig, TsdbStats,
-};
-
-#[cfg(feature = "enabled")]
-mod metrics;
-#[cfg(feature = "enabled")]
-mod registry;
-#[cfg(feature = "enabled")]
-mod tracing;
-#[cfg(feature = "enabled")]
-mod tsdb;
-#[cfg(feature = "enabled")]
-mod window;
-
-#[cfg(feature = "enabled")]
-pub use metrics::{Counter, Gauge, Histogram, SpanTimer, DEFAULT_LATENCY_BUCKETS};
-#[cfg(feature = "enabled")]
-pub use registry::{
-    counter, describe, gauge, histogram, histogram_with, render_prometheus, snapshot, Registry,
-};
-#[cfg(feature = "enabled")]
 pub use tracing::{
     current_span_id, flight_dropped, flight_snapshot, init_flight_recorder, reset_flight_recorder,
     span, span_child_of, trace_instant, Span, DEFAULT_FLIGHT_CAPACITY, MAX_SPAN_ATTRS,
 };
-#[cfg(feature = "enabled")]
 pub use tsdb::{dashboard_charts, sample_registry_into, tsdb, Collector, CollectorHandle, Tsdb};
-#[cfg(feature = "enabled")]
+pub use tsdbfmt::{
+    aggregate, wall_ms, Agg, QueryResult, RangeQuery, SeriesStats, TsdbConfig, TsdbStats,
+};
 pub use window::WindowedHistogram;
 
-#[cfg(not(feature = "enabled"))]
-mod noop;
-
-#[cfg(not(feature = "enabled"))]
-pub use noop::{
-    counter, current_span_id, dashboard_charts, describe, flight_dropped, flight_snapshot, gauge,
-    histogram, histogram_with, init_flight_recorder, render_prometheus, reset_flight_recorder,
-    sample_registry_into, snapshot, span, span_child_of, trace_instant, tsdb, Collector,
-    CollectorHandle, Counter, Gauge, Histogram, Registry, Span, SpanTimer, Tsdb, WindowedHistogram,
-    DEFAULT_LATENCY_BUCKETS,
-};
-
-/// Flight-recorder default capacity mirror for the no-op build.
-#[cfg(not(feature = "enabled"))]
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 0;
-/// Span attribute capacity mirror for the no-op build.
-#[cfg(not(feature = "enabled"))]
-pub const MAX_SPAN_ATTRS: usize = 0;
-
-/// `true` when the metrics core is compiled in (the `enabled` feature).
+/// Always `true`: the metrics core is compiled into every build.
 ///
-/// Exporters use this to annotate reports whose metric sections are
-/// structurally present but necessarily empty.
+/// Kept because the frozen v1 report schemas carry a `metrics_enabled`
+/// field (and `tsdb_enabled`/`trace_enabled` in the service replies),
+/// which exporters fill from here.
 pub const fn metrics_enabled() -> bool {
-    cfg!(feature = "enabled")
+    true
 }

@@ -1,4 +1,4 @@
-//! The atomic metric primitives (compiled only with the `enabled` feature).
+//! The atomic metric primitives.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

@@ -1,4 +1,4 @@
-//! The process-global metric registry (compiled only with `enabled`).
+//! The process-global metric registry.
 
 use crate::metrics::{Counter, Gauge, Histogram, DEFAULT_LATENCY_BUCKETS};
 use crate::render::RegistrySnapshot;

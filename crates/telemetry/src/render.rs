@@ -1,5 +1,4 @@
-//! Frozen metric data and its renderings (always compiled — exporters work
-//! identically whether the metrics core is enabled or not).
+//! Frozen metric data and its renderings.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -280,7 +279,7 @@ impl RegistrySnapshot {
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         if self.is_empty() {
-            out.push_str("(telemetry disabled — no metrics recorded)\n");
+            out.push_str("(no metrics recorded)\n");
             return out;
         }
         let name_width = self

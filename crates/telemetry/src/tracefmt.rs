@@ -1,6 +1,5 @@
-//! Frozen trace data and its renderings (always compiled — trace exporters
-//! work identically whether the tracing core is enabled or not, exactly
-//! like [`crate::render`] does for metrics).
+//! Frozen trace data and its renderings (the trace counterpart of
+//! [`crate::render`]).
 
 use crate::render::{push_json_f64, push_json_str};
 use std::collections::BTreeMap;

@@ -1,5 +1,4 @@
-//! Causal span tracing and the flight recorder (compiled only with the
-//! `enabled` feature; see [`crate::noop`] for the zero-cost mirrors).
+//! Causal span tracing and the flight recorder.
 //!
 //! A [`Span`] is an RAII guard: creating one pushes it onto a thread-local
 //! span stack (so the enclosing span becomes its parent), dropping it pops

@@ -1,5 +1,4 @@
-//! Embedded Gorilla-compressed time-series store (compiled only with
-//! `enabled`).
+//! Embedded Gorilla-compressed time-series store.
 //!
 //! Every series is a ring of compressed blocks in two retention tiers:
 //!
@@ -730,11 +729,15 @@ impl Collector {
         let thread = std::thread::Builder::new()
             .name("coolopt-collector".to_string())
             .spawn(move || loop {
+                // `wait_timeout_while` checks the flag before it waits: a
+                // `stop()` that lands before this thread first takes the
+                // lock has already notified, so a plain wait would sleep
+                // a whole period.
                 let stopped = {
                     let g = thread_shared.stop.lock().expect("collector lock poisoned");
                     let (g, _timeout) = thread_shared
                         .wake
-                        .wait_timeout(g, period)
+                        .wait_timeout_while(g, period, |stopped| !*stopped)
                         .expect("collector lock poisoned");
                     *g
                 };
@@ -968,5 +971,19 @@ mod tests {
         assert!(counter.points.iter().any(|&(_, v)| v >= 3.0));
         let custom = tsdb().query("tsdb_test_custom", &q).expect("sampled");
         assert_eq!(custom.points.len(), 2);
+    }
+
+    #[test]
+    fn stop_before_the_first_wait_is_not_lost() {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            Collector::new(1000.0).sample_registry(false).start().stop();
+            done_tx.send(()).expect("the test thread is waiting");
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "stopping a fresh collector must not wait out its 1000 s period"
+        );
+        stopper.join().expect("the stopping thread does not panic");
     }
 }

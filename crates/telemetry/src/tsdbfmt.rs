@@ -1,9 +1,6 @@
-//! Plain time-series query data and aggregation (always compiled — the
-//! query surface works identically whether the storage core is enabled or
-//! not, exactly like [`crate::render`] does for metrics and
-//! [`crate::tracefmt`] for traces). The compressed store itself lives in
-//! the `enabled`-gated `tsdb` module; without the feature every query
-//! simply answers over zero retained points.
+//! Plain time-series query data and aggregation, kept apart from the
+//! compressed store in `tsdb` the way [`crate::render`] is for metrics and
+//! [`crate::tracefmt`] for traces.
 
 use std::time::{SystemTime, UNIX_EPOCH};
 

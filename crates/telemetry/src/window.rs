@@ -1,5 +1,5 @@
 //! Sliding-window histograms: windowed quantiles over a ring of
-//! fixed-bucket boundary snapshots (compiled only with `enabled`).
+//! fixed-bucket boundary snapshots.
 //!
 //! A [`WindowedHistogram`] answers "what was p99 over the last ~N
 //! seconds?" without ever resetting its hot-path counters. Samples land in

@@ -1,7 +1,6 @@
 //! Tests of the causal-tracing public API: span nesting through the
 //! thread-local stack, cross-thread parenting, flight-recorder snapshots
-//! and their exports. Only meaningful with the tracing core compiled in.
-#![cfg(feature = "enabled")]
+//! and their exports.
 
 use coolopt_telemetry as telemetry;
 use std::sync::Mutex;

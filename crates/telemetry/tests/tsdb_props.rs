@@ -2,8 +2,7 @@
 //! irregular timestamps, NaN payloads, infinities, subnormals — must
 //! round-trip bit-exactly through the compressed blocks, and every range
 //! query must equal a straightforward uncompressed oracle over the same
-//! samples. Only meaningful with the storage core compiled in.
-#![cfg(feature = "enabled")]
+//! samples.
 
 use coolopt_telemetry::{Agg, RangeQuery, Tsdb, TsdbConfig};
 use proptest::prelude::*;

@@ -3,8 +3,7 @@
 //! claims to cover, and cumulative − windowed must equal the merge of the
 //! older deltas — i.e. the merge/minus snapshot algebra stays exact under
 //! arbitrary window rotation patterns (bursts, idle gaps, views wider
-//! than retention). Only meaningful with the metrics core compiled in.
-#![cfg(feature = "enabled")]
+//! than retention).
 
 use coolopt_telemetry::{HistogramSnapshot, WindowedHistogram, DEFAULT_LATENCY_BUCKETS};
 use proptest::prelude::*;

@@ -22,9 +22,7 @@
 //!   core (micro-batch coalescing, bounded admission, `coolopt-serve`).
 //! * [`experiments`] — harness regenerating every table and figure.
 //! * [`telemetry`] — counters, gauges, latency histograms and span timers
-//!   across the whole stack, with JSON and Prometheus export (on by
-//!   default; disable with `--no-default-features` for a zero-overhead
-//!   build).
+//!   across the whole stack, with JSON and Prometheus export.
 //!
 //! ## Quickstart
 //!

@@ -7,8 +7,6 @@
 //! are deterministic — the assertions pin them rather than sampling a
 //! flaky distribution.
 
-#![cfg(feature = "telemetry")]
-
 use coolopt::experiments::harness::scenario_planner;
 use coolopt::experiments::runtime::{run_load_trace_with, sinusoidal_trace, RuntimeOptions};
 use coolopt::experiments::{SweepOptions, Testbed};
@@ -39,7 +37,7 @@ fn stock_preset_is_drift_free_and_injected_bias_trips() {
         &RuntimeOptions::default(),
     )
     .expect("stock trace runs");
-    let report = stock.health.expect("telemetry builds carry a report");
+    let report = stock.health.expect("the runtime carries a health report");
     assert!(report.samples > 0, "settled residual samples were taken");
     assert!(
         !report.drifted,
@@ -72,7 +70,7 @@ fn stock_preset_is_drift_free_and_injected_bias_trips() {
         &drifted_options,
     )
     .expect("drifted trace runs");
-    let report = drifted.health.expect("telemetry builds carry a report");
+    let report = drifted.health.expect("the runtime carries a health report");
     assert!(
         report.drifted,
         "an 8 K injected bias must trip the detector"
@@ -101,7 +99,7 @@ fn watchdog_verdicts_are_reproducible_across_runs() {
         )
         .expect("trace runs")
         .health
-        .expect("telemetry builds carry a report")
+        .expect("the runtime carries a health report")
     };
     let first = run();
     let second = run();

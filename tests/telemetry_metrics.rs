@@ -1,12 +1,6 @@
 //! Tier-1 coverage of the telemetry layer through the `coolopt` facade:
 //! driving the consolidation index advances the registry's counters and
 //! latency histograms, and both exporters carry the result.
-//!
-//! Compiled only with the (default) `telemetry` feature; the
-//! `--no-default-features` build compiles every hook to a no-op and has
-//! nothing to observe.
-
-#![cfg(feature = "telemetry")]
 
 use coolopt::core::{ConsolidationIndex, PowerTerms};
 use coolopt::telemetry;
@@ -21,7 +15,6 @@ fn terms() -> PowerTerms {
 
 #[test]
 fn index_pipeline_advances_counters_and_histograms() {
-    assert!(telemetry::metrics_enabled());
     let builds = telemetry::counter("coolopt_index_builds_total").get();
     let queries = telemetry::counter("coolopt_index_queries_total").get();
     let query_obs = telemetry::histogram("coolopt_index_query_seconds").count();
