@@ -4,9 +4,8 @@
 //! online replanning?
 //!
 //! * `engine_build_vs_n` — incremental [`IndexBuilder`] builds for rooms of
-//!   20…1000 machines, serial and — under `--features parallel` — chunked
-//!   across threads; the from-scratch `O(n³)` dense oracle is swept only to
-//!   200 (its table alone is ~n³ rows).
+//!   20…1000 machines; the from-scratch `O(n³)` dense oracle is swept only
+//!   to 200 (its table alone is ~n³ rows).
 //! * `query_batch_vs_sequential` — 64 exact consolidation queries on a
 //!   200-machine index: one `query_batch` call vs 64 sequential
 //!   `query_min_power` calls, with and without the capacity model.
@@ -69,14 +68,6 @@ fn bench_build_vs_n(c: &mut Criterion) {
                 IndexBuilder::new(black_box(pairs))
                     .expect("synthetic pairs are well-formed")
                     .build()
-            });
-        });
-        #[cfg(feature = "parallel")]
-        group.bench_with_input(BenchmarkId::new("parallel", n), &pairs, |b, pairs| {
-            b.iter(|| {
-                IndexBuilder::new(black_box(pairs))
-                    .expect("synthetic pairs are well-formed")
-                    .build_parallel()
             });
         });
         // The paper-literal from-scratch oracle: O(n³) rows, so the sweep

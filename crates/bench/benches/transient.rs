@@ -1,6 +1,6 @@
 //! Benchmarks of the fast transient engine: what does the exact-step
-//! propagator cost per step and per replan interval, and what do parallel
-//! sweeps buy end-to-end?
+//! propagator cost per step and per replan interval, and what does a
+//! method × load sweep cost end-to-end?
 //!
 //! * `propagator_step_vs_n` — one recording step (10 s) of the RC network
 //!   for rooms of 20/100/200 machines: exact propagator (one mat–vec) vs
@@ -14,13 +14,12 @@
 //! * `replay_trace_24` — the full 24-step sinusoidal replanning trace
 //!   end-to-end through `coolopt_experiments::replay`, per engine.
 //! * `sweep_wallclock` — a small method × load sweep on the numeric
-//!   substrate, serial vs (under `--features parallel`) scoped-thread
-//!   fan-out.
+//!   substrate through `run_sweep`.
 
 use coolopt_alloc::{Method, Planner};
 use coolopt_bench::synthetic_model;
 use coolopt_cooling::SetPointTable;
-use coolopt_experiments::harness::{run_sweep, run_sweep_serial, SweepOptions};
+use coolopt_experiments::harness::{run_sweep, SweepOptions};
 use coolopt_experiments::runtime::sinusoidal_trace;
 use coolopt_experiments::{replay_trace_with, ReplayEngine, ReplayOptions, Testbed};
 use coolopt_model::{RcNetwork, RcParams, RoomModel};
@@ -199,17 +198,9 @@ fn bench_sweep_wallclock(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("sweep_wallclock");
     group.sample_size(10);
-    group.bench_function("serial", |b| {
-        b.iter(|| run_sweep_serial(black_box(&mut tb), &methods, &options));
-    });
-    // `run_sweep` is the parallel path when the feature is on; without it
-    // this duplicates `serial` and is skipped.
-    #[cfg(feature = "parallel")]
-    group.bench_function("parallel", |b| {
+    group.bench_function("run_sweep", |b| {
         b.iter(|| run_sweep(black_box(&mut tb), &methods, &options));
     });
-    #[cfg(not(feature = "parallel"))]
-    let _ = run_sweep; // referenced so both cfgs compile the import
     group.finish();
 }
 

@@ -4,7 +4,6 @@
 //! bench-smoke job without paying for full criterion runs.
 //!
 //! Usage: `cargo run --release -p coolopt-bench --bin bench_index -- [--json] [--quiet]`
-//! (add `--features parallel` to also record the parallel build).
 //! The output path defaults to `BENCH_index.json` at the repository root
 //! (the committed copy); override with the `BENCH_INDEX_OUT` environment
 //! variable.
@@ -40,7 +39,6 @@ const HIER_LOAD_FRACTIONS: [f64; 3] = [0.2, 0.5, 0.8];
 struct BuildRow {
     n: usize,
     incremental_ms: f64,
-    parallel_ms: Option<f64>,
     dense_ms: Option<f64>,
 }
 
@@ -134,20 +132,9 @@ fn main() {
                 );
             })
         });
-        #[cfg(feature = "parallel")]
-        let parallel_ms = Some(median_ms(|| {
-            std::hint::black_box(
-                IndexBuilder::new(&pairs)
-                    .expect("valid pairs")
-                    .build_parallel(),
-            );
-        }));
-        #[cfg(not(feature = "parallel"))]
-        let parallel_ms: Option<f64> = None;
         build_rows.push(BuildRow {
             n,
             incremental_ms,
-            parallel_ms,
             dense_ms,
         });
     }

@@ -125,6 +125,15 @@ fn scenarios_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
 }
 
+/// What one producer thread of a round measured.
+struct ProducerTally {
+    plans: u64,
+    submissions: u64,
+    latencies_us: Vec<f64>,
+    /// Plans answered per tenant key.
+    counts: Vec<(String, u64)>,
+}
+
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -199,7 +208,7 @@ fn run_round(
 
     let stop = AtomicBool::new(false);
     let begin = Instant::now();
-    let mut per_thread: Vec<(u64, u64, Vec<f64>, Vec<(String, u64)>)> = Vec::new();
+    let mut per_thread: Vec<ProducerTally> = Vec::new();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for producer in 0..threads {
@@ -250,7 +259,12 @@ fn run_round(
                     .zip(per_tenant)
                     .collect();
                 counts.sort();
-                (plans, submissions, latencies_us, counts)
+                ProducerTally {
+                    plans,
+                    submissions,
+                    latencies_us,
+                    counts,
+                }
             }));
         }
         while begin.elapsed().as_secs_f64() < seconds {
@@ -265,17 +279,17 @@ fn run_round(
     collector.sample_now();
     collector.stop();
 
-    let plans: u64 = per_thread.iter().map(|(p, ..)| p).sum();
-    let submissions: u64 = per_thread.iter().map(|(_, s, ..)| s).sum();
+    let plans: u64 = per_thread.iter().map(|t| t.plans).sum();
+    let submissions: u64 = per_thread.iter().map(|t| t.submissions).sum();
     let mut latencies: Vec<f64> = per_thread
         .iter()
-        .flat_map(|(_, _, l, _)| l.iter().copied())
+        .flat_map(|t| t.latencies_us.iter().copied())
         .collect();
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
     let mut tenant_plans: std::collections::BTreeMap<String, u64> =
         std::collections::BTreeMap::new();
-    for (_, _, _, counts) in &per_thread {
-        for (key, count) in counts {
+    for tally in &per_thread {
+        for (key, count) in &tally.counts {
             *tenant_plans.entry(key.clone()).or_default() += count;
         }
     }

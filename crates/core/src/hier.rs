@@ -28,12 +28,10 @@
 //!    hull, and repeated queries hit the cached one.
 //! 3. **Error-bounded answers.** Every query returns a certified absolute
 //!    bound on `|relative_power − exact minimum|`, derived from the
-//!    tracked radii (zero for exact clustering). In the default *refined*
-//!    mode, the near-optimal candidates are re-evaluated with exact
-//!    per-machine sums — bit-identical arithmetic to the flat index — so
-//!    identical-machine fleets reproduce the flat answer bit-for-bit. The
-//!    *coreset* mode ([`HierConfig::coreset`]) skips refinement and
-//!    returns the centroid approximation with the same certificate.
+//!    tracked radii (zero for exact clustering). The near-optimal
+//!    candidates are re-evaluated with exact per-machine sums —
+//!    bit-identical arithmetic to the flat index — so identical-machine
+//!    fleets reproduce the flat answer bit-for-bit.
 //!
 //! # The error bound
 //!
@@ -81,10 +79,10 @@ use std::sync::OnceLock;
 /// while leaving room for realistically heterogeneous fleets.
 pub const DEFAULT_MAX_CLUSTERS: usize = 512;
 
-/// How many near-optimal candidates the refined mode re-evaluates exactly.
+/// How many near-optimal candidates a query re-evaluates exactly.
 const REFINE_CAP: usize = 32;
 
-/// Clustering and query-mode knobs for [`HierIndex::build`].
+/// Clustering knobs for [`HierIndex::build`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HierConfig {
     /// Clustering tolerance on `a_i` (grid cell width; `0` = exact match).
@@ -93,23 +91,16 @@ pub struct HierConfig {
     pub tol_b: f64,
     /// Tolerances are doubled until at most this many clusters remain.
     pub max_clusters: usize,
-    /// `true`: re-evaluate the near-optimal candidates with exact
-    /// per-machine sums (bit-identical to the flat index for exact
-    /// clusters). `false`: coreset mode — return the centroid
-    /// approximation with its certificate.
-    pub refine: bool,
 }
 
 impl HierConfig {
-    /// Exact clustering: only bitwise-identical machines share a cluster,
-    /// every answer refines, the certificate collapses to tie-breaking
-    /// slop.
+    /// Exact clustering: only bitwise-identical machines share a cluster
+    /// and the certificate collapses to tie-breaking slop.
     pub fn exact() -> Self {
         HierConfig {
             tol_a: 0.0,
             tol_b: 0.0,
             max_clusters: DEFAULT_MAX_CLUSTERS,
-            refine: true,
         }
     }
 
@@ -126,15 +117,6 @@ impl HierConfig {
             tol_a: 1e-3 * span(|p| p.0),
             tol_b: 1e-3 * span(|p| p.1),
             max_clusters: DEFAULT_MAX_CLUSTERS,
-            refine: true,
-        }
-    }
-
-    /// This configuration with refinement disabled (coreset mode).
-    pub fn coreset(self) -> Self {
-        HierConfig {
-            refine: false,
-            ..self
         }
     }
 }
@@ -810,8 +792,8 @@ impl HierIndex {
 
     /// The two-pass uncapacitated scan: pass 1 finds the best centroid
     /// candidate under aggressive pruning; pass 2 re-collects everything
-    /// within the certificate margin and (in refined mode) re-evaluates
-    /// the top [`REFINE_CAP`] exactly.
+    /// within the certificate margin and re-evaluates the top
+    /// [`REFINE_CAP`] exactly.
     fn query_uncapacitated(&self, terms: &PowerTerms, load: f64) -> Option<(Consolidation, f64)> {
         let order = self.class_scan_order(terms, load);
         let mut js = Vec::new();
@@ -912,24 +894,9 @@ impl HierIndex {
         sort_cands(&mut cands);
         cands.truncate(REFINE_CAP);
 
-        if !self.config.refine {
-            // Coreset mode: centroid answer + certificate.
-            let top = cands.first().copied().unwrap_or(best);
-            let on = self.materialize(top.row as usize, top.k as usize, &mut HashMap::new());
-            return Some((
-                Consolidation {
-                    on,
-                    k: top.k as usize,
-                    t: top.t_hat,
-                    relative_power: top.rel_hat,
-                },
-                declared,
-            ));
-        }
-
-        // Refined mode: exact sequential sums over the materialized
-        // prefix — the same arithmetic order as the flat index, so exact
-        // clusters reproduce flat answers bit-for-bit.
+        // Refinement: exact sequential sums over the materialized prefix —
+        // the same arithmetic order as the flat index, so exact clusters
+        // reproduce flat answers bit-for-bit.
         let mut prefixes: HashMap<u32, Vec<usize>> = HashMap::new();
         let mut winner: Option<(CandHat, Vec<usize>, f64, f64)> = None;
         for cand in &cands {
@@ -1314,29 +1281,6 @@ mod tests {
     }
 
     #[test]
-    fn coreset_mode_is_certified_too() {
-        let pairs = jittered_fleet(4, 6, 1e-4);
-        let flat = ConsolidationIndex::build_dense(&pairs).unwrap();
-        let hier = HierIndex::build(&pairs, HierConfig::auto(&pairs).coreset()).unwrap();
-        for load in [0.5, 2.0, 6.0, 13.0, 21.0] {
-            let e = flat
-                .query_min_power(&terms(), load, None)
-                .unwrap()
-                .expect("feasible");
-            let (h, bound) = hier
-                .query_min_power_bounded(&terms(), load, None)
-                .unwrap()
-                .expect("feasible");
-            assert!(
-                (h.relative_power - e.relative_power).abs() <= bound,
-                "load {load}: coreset error {} > bound {bound}",
-                (h.relative_power - e.relative_power).abs()
-            );
-            assert_eq!(h.on.len(), h.k);
-        }
-    }
-
-    #[test]
     fn envelopes_build_lazily_per_touched_class() {
         let pairs = identical_fleet(8, 5);
         let hier = HierIndex::build(&pairs, HierConfig::exact()).unwrap();
@@ -1393,7 +1337,6 @@ mod tests {
             tol_a: 0.0,
             tol_b: 0.0,
             max_clusters: 16,
-            refine: true,
         };
         let hier = HierIndex::build(&pairs, config).unwrap();
         assert!(hier.cluster_count() <= 16);

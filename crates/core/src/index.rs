@@ -37,9 +37,9 @@
 //!
 //! Determinism: incremental prefix sums are float-path-dependent, so the
 //! builder re-seeds order and prefixes from scratch at fixed *epoch*
-//! boundaries (every `max(n, 16)` event groups). Serial and `parallel`
-//! builds reseed at the same boundaries — workers own whole epochs — so
-//! both produce bit-identical tables regardless of worker count. The dense
+//! boundaries (every `max(n, 16)` event groups). That bounds the drift of
+//! the incremental updates and fixes the table's bits, which the
+//! reproduction's pinned results depend on. The dense
 //! [`IndexBuilder::build_dense`] oracle keeps the literal `O(n³)`
 //! construction for equivalence tests and benchmarks.
 //!
@@ -495,12 +495,10 @@ impl StatusTable {
 /// The builder owns the kinetic-particle system and its sorted crossing
 /// events (grouped by equal event time) — it never materializes the
 /// `O(n²)` order snapshots. [`IndexBuilder::build`] walks the event groups
-/// incrementally; with the `parallel` feature,
-/// [`IndexBuilder::build_parallel`] distributes contiguous *epochs* of
-/// groups over `std::thread::scope` workers. Every epoch re-seeds its order
-/// and prefix sums from scratch at its boundary, so the two paths are
-/// bit-identical. [`IndexBuilder::build_dense`] keeps the paper's literal
-/// `O(n³)` construction as a test oracle.
+/// incrementally in contiguous *epochs*, each re-seeding its order and
+/// prefix sums from scratch at its boundary.
+/// [`IndexBuilder::build_dense`] keeps the paper's literal `O(n³)`
+/// construction as a test oracle.
 #[derive(Debug, Clone)]
 pub struct IndexBuilder {
     system: ParticleSystem,
@@ -544,9 +542,8 @@ impl IndexBuilder {
     }
 
     /// Event groups per epoch: the builder re-derives its order and prefix
-    /// sums from scratch at every epoch boundary, which (a) bounds the
-    /// floating-point drift of the incremental prefix updates and (b) gives
-    /// the parallel build deterministic, worker-count-independent seams.
+    /// sums from scratch at every epoch boundary, which bounds the
+    /// floating-point drift of the incremental prefix updates.
     fn epoch_len(&self) -> usize {
         self.system.len().max(16)
     }
@@ -568,9 +565,7 @@ impl IndexBuilder {
 
     /// Processes one epoch of event groups: returns its status rows and how
     /// many distinct orders it saw. Deterministic in isolation — the seed
-    /// at the epoch boundary is re-derived from scratch, never inherited —
-    /// so epochs can run serially or on any worker layout with identical
-    /// output.
+    /// at the epoch boundary is re-derived from scratch, never inherited.
     fn epoch_records(&self, epoch: usize) -> (Vec<StatusRecord>, usize) {
         let n = self.system.len();
         let g_lo = epoch * self.epoch_len();
@@ -693,7 +688,7 @@ impl IndexBuilder {
         (records, orders_seen)
     }
 
-    /// Serial incremental build: walks the epochs in order.
+    /// Incremental build: walks the epochs in order.
     pub fn build(self) -> ConsolidationIndex {
         let mut records = Vec::new();
         let mut orders_seen = 0usize;
@@ -702,53 +697,6 @@ impl IndexBuilder {
             records.extend(r);
             orders_seen += o;
         }
-        self.finish(records, orders_seen)
-    }
-
-    /// Parallel incremental build: contiguous epoch ranges, one per worker
-    /// thread, re-concatenated in epoch order. Bit-identical to [`build`]:
-    /// each epoch re-seeds from scratch at its boundary, so its rows never
-    /// depend on which worker (or whether any worker) processed the epochs
-    /// before it.
-    ///
-    /// [`build`]: IndexBuilder::build
-    #[cfg(feature = "parallel")]
-    pub fn build_parallel(self) -> ConsolidationIndex {
-        let epochs = self.epoch_count();
-        let workers = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(epochs);
-        if workers <= 1 {
-            return self.build();
-        }
-        let chunk = epochs.div_ceil(workers);
-        let mut records = Vec::new();
-        let mut orders_seen = 0usize;
-        std::thread::scope(|scope| {
-            let builder = &self;
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let lo = w * chunk;
-                    let hi = ((w + 1) * chunk).min(epochs);
-                    scope.spawn(move || {
-                        let mut rs = Vec::new();
-                        let mut os = 0usize;
-                        for epoch in lo..hi {
-                            let (r, o) = builder.epoch_records(epoch);
-                            rs.extend(r);
-                            os += o;
-                        }
-                        (rs, os)
-                    })
-                })
-                .collect();
-            for handle in handles {
-                let (r, o) = handle.join().expect("index build worker panicked");
-                records.extend(r);
-                orders_seen += o;
-            }
-        });
         self.finish(records, orders_seen)
     }
 
@@ -882,25 +830,6 @@ impl ConsolidationIndex {
             .attr("n", pairs.len())
             .record_into("coolopt_index_build_seconds");
         let index = IndexBuilder::new(pairs)?.build();
-        span.set_attr("orders", index.orders_seen);
-        Ok(index)
-    }
-
-    /// [`build`], constructed with one epoch range per thread.
-    /// Bit-identical output; see [`IndexBuilder::build_parallel`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`build`].
-    ///
-    /// [`build`]: ConsolidationIndex::build
-    #[cfg(feature = "parallel")]
-    pub fn build_parallel(pairs: &[(f64, f64)]) -> Result<Self, SolveError> {
-        let mut span = telemetry::span("index_build")
-            .attr("n", pairs.len())
-            .attr("mode", "parallel")
-            .record_into("coolopt_index_build_seconds");
-        let index = IndexBuilder::new(pairs)?.build_parallel();
         span.set_attr("orders", index.orders_seen);
         Ok(index)
     }
@@ -1505,9 +1434,7 @@ impl ConsolidationIndex {
             // play the role of the paper's log(P_max) factor.
             for _ in 0..96 {
                 let mid = 0.5 * (lo_t + hi_t);
-                let p_b = terms.relative_power(k, mid);
                 let lmax = self.max_load_at_t(mid, k).unwrap_or(f64::NEG_INFINITY);
-                let _ = p_b; // the budget is implied by (k, t); kept for clarity
                 if lmax >= total_load {
                     lo_t = mid;
                 } else {
@@ -1723,16 +1650,6 @@ mod tests {
         let one_shot = ConsolidationIndex::build(&pairs).unwrap();
         assert_eq!(via_builder, one_shot);
         assert!(IndexBuilder::new(&pairs).unwrap().snapshot_count() >= 1);
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_build_is_bit_identical_to_serial() {
-        for pairs in [footnote_pairs(), synthetic(40)] {
-            let serial = ConsolidationIndex::build(&pairs).unwrap();
-            let parallel = ConsolidationIndex::build_parallel(&pairs).unwrap();
-            assert_eq!(serial, parallel);
-        }
     }
 
     #[test]

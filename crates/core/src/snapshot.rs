@@ -46,8 +46,7 @@ pub struct IndexSnapshot {
 }
 
 impl IndexSnapshot {
-    /// Builds a snapshot for a fitted room model (parallel build when the
-    /// `parallel` feature is on; hierarchical above
+    /// Builds a snapshot for a fitted room model (hierarchical above
     /// [`HIER_AUTO_THRESHOLD`] machines).
     ///
     /// # Errors
@@ -81,9 +80,6 @@ impl IndexSnapshot {
         pairs: &[(f64, f64)],
         terms: PowerTerms,
     ) -> Result<Arc<Self>, SolveError> {
-        #[cfg(feature = "parallel")]
-        let index = ConsolidationIndex::build_parallel(pairs)?;
-        #[cfg(not(feature = "parallel"))]
         let index = ConsolidationIndex::build(pairs)?;
         Ok(Arc::new(IndexSnapshot {
             fingerprint: ModelFingerprint::of_parts(pairs, &terms),

@@ -1,8 +1,8 @@
 //! Certification of the hierarchical clustered index against the
-//! paper-literal dense oracle: on random clustered fleets the refined and
-//! coreset answers must stay within their own declared error certificate
-//! of the exact minimum, and on identical-machine fleets the refined
-//! answer must reproduce the flat index bit-for-bit.
+//! paper-literal dense oracle: on random clustered fleets the refined
+//! answers must stay within their own declared error certificate of the
+//! exact minimum, and on identical-machine fleets they must reproduce the
+//! flat index bit-for-bit.
 
 use coolopt_core::{ConsolidationIndex, HierConfig, HierIndex, PowerTerms};
 use proptest::prelude::*;
@@ -56,14 +56,13 @@ fn assert_certified(pairs: &[(f64, f64)], terms: &PowerTerms, config: HierConfig
                 assert!(
                     (h.relative_power - e.relative_power).abs() <= *bound,
                     "load {load}: hier {} (k={}) vs exact {} (k={}) exceeds bound {bound} \
-                     (eps_a={}, eps_b={}, refine={})",
+                     (eps_a={}, eps_b={})",
                     h.relative_power,
                     h.k,
                     e.relative_power,
                     e.k,
                     hier.eps_a(),
                     hier.eps_b(),
-                    config.refine
                 );
                 assert_eq!(h.on.len(), h.k);
                 assert!(load <= h.k as f64 + 1e-9, "k machines must carry the load");
@@ -96,16 +95,6 @@ proptest! {
         terms in terms_strategy(),
     ) {
         assert_certified(&pairs, &terms, HierConfig::auto(&pairs));
-    }
-
-    /// Coreset mode (no refinement): the centroid approximation itself is
-    /// certified.
-    #[test]
-    fn coreset_answers_stay_within_their_certificate(
-        pairs in clustered_pairs(1e-4),
-        terms in terms_strategy(),
-    ) {
-        assert_certified(&pairs, &terms, HierConfig::auto(&pairs).coreset());
     }
 
     /// Exact clustering on identical-machine fleets reproduces the flat

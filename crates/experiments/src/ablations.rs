@@ -19,7 +19,7 @@
 //!   erodes the savings.
 
 use crate::figures::{FigureData, Series};
-use crate::harness::{par_map_ordered, run_method_with, scenario_planner, SweepOptions};
+use crate::harness::{run_method_with, scenario_planner, SweepOptions};
 use crate::savings::savings_summary;
 use crate::testbed::Testbed;
 use coolopt_alloc::{Method, Strategy};
@@ -84,30 +84,27 @@ pub fn guard_band_study(
     base_options: &SweepOptions,
 ) -> Vec<GuardOutcome> {
     let t_max = testbed.profile.model.t_max();
-    let scenarios: Vec<(f64, Testbed)> = guards_kelvin
+    guards_kelvin
         .iter()
-        .map(|&g| (g, testbed.clone()))
-        .collect();
-    par_map_ordered(scenarios, |(g, mut tb)| {
-        let options = SweepOptions {
-            guard: TempDelta::from_kelvin(g),
-            ..base_options.clone()
-        };
-        // Each guard changes the planner's effective model, so this
-        // study necessarily builds one planner (one engine) per guard.
-        let planner = scenario_planner(&tb, &options);
-        run_method_with(&planner, &mut tb, method, load_percent, &options)
-            .ok()
-            .map(|run| GuardOutcome {
-                guard_kelvin: g,
-                total_power: run.total_power().as_watts(),
-                max_cpu_celsius: run.measurement.max_cpu_temp_true.as_celsius(),
-                safe: run.measurement.max_cpu_temp_true <= t_max,
-            })
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+        .filter_map(|&g| {
+            let mut tb = testbed.clone();
+            let options = SweepOptions {
+                guard: TempDelta::from_kelvin(g),
+                ..base_options.clone()
+            };
+            // Each guard changes the planner's effective model, so this
+            // study necessarily builds one planner (one engine) per guard.
+            let planner = scenario_planner(&tb, &options);
+            run_method_with(&planner, &mut tb, method, load_percent, &options)
+                .ok()
+                .map(|run| GuardOutcome {
+                    guard_kelvin: g,
+                    total_power: run.total_power().as_watts(),
+                    max_cpu_celsius: run.measurement.max_cpu_temp_true.as_celsius(),
+                    safe: run.measurement.max_cpu_temp_true <= t_max,
+                })
+        })
+        .collect()
 }
 
 /// One row of the recirculation study.
@@ -136,43 +133,46 @@ pub fn recirculation_study(
     scales: &[f64],
     options: &SweepOptions,
 ) -> Vec<RecirculationOutcome> {
-    par_map_ordered(scales.to_vec(), |scale| {
-        let rack_options = RackOptions {
-            machines,
-            seed,
-            recirculation_scale: scale,
-            ..RackOptions::default()
-        };
-        let scenario = coolopt_scenario::presets::single_zone(rack_options);
-        let mut room = parametric_rack_with(rack_options);
-        let profile = profile_room_full(&mut room, &ProfileOptions::default())
-            .expect("scaled preset profiles cleanly");
-        let mean_thermal_r2 =
-            profile.thermal.r2.iter().sum::<f64>() / profile.thermal.r2.len() as f64;
-        let mut testbed = Testbed {
-            room,
-            profile,
-            scenario,
-        };
-        let planner = scenario_planner(&testbed, options);
-        let mut sweep = crate::harness::Sweep::default();
-        let methods = [Method::numbered(7), Method::numbered(8)];
-        for &pct in &options.load_percents {
-            for &m in &methods {
-                if let Ok(run) = run_method_with(&planner, &mut testbed, m, pct, options) {
-                    sweep.insert(m, pct, run);
+    scales
+        .iter()
+        .map(|&scale| {
+            let rack_options = RackOptions {
+                machines,
+                seed,
+                recirculation_scale: scale,
+                ..RackOptions::default()
+            };
+            let scenario = coolopt_scenario::presets::single_zone(rack_options);
+            let mut room = parametric_rack_with(rack_options);
+            let profile = profile_room_full(&mut room, &ProfileOptions::default())
+                .expect("scaled preset profiles cleanly");
+            let mean_thermal_r2 =
+                profile.thermal.r2.iter().sum::<f64>() / profile.thermal.r2.len() as f64;
+            let mut testbed = Testbed {
+                room,
+                profile,
+                scenario,
+            };
+            let planner = scenario_planner(&testbed, options);
+            let mut sweep = crate::harness::Sweep::default();
+            let methods = [Method::numbered(7), Method::numbered(8)];
+            for &pct in &options.load_percents {
+                for &m in &methods {
+                    if let Ok(run) = run_method_with(&planner, &mut testbed, m, pct, options) {
+                        sweep.insert(m, pct, run);
+                    }
                 }
             }
-        }
-        let summary = savings_summary(&sweep, Method::numbered(8), Method::numbered(7))
-            .expect("both methods ran");
-        RecirculationOutcome {
-            scale,
-            mean_savings: summary.mean,
-            min_savings: summary.min,
-            mean_thermal_r2,
-        }
-    })
+            let summary = savings_summary(&sweep, Method::numbered(8), Method::numbered(7))
+                .expect("both methods ran");
+            RecirculationOutcome {
+                scale,
+                mean_savings: summary.mean,
+                min_savings: summary.min,
+                mean_thermal_r2,
+            }
+        })
+        .collect()
 }
 
 /// One row of the seed study.
@@ -196,27 +196,30 @@ pub struct SeedOutcome {
 /// Panics if a seed's testbed cannot be profiled or both methods fail to
 /// run (does not happen for the shipped presets).
 pub fn seed_study(machines: usize, seeds: &[u64], options: &SweepOptions) -> Vec<SeedOutcome> {
-    par_map_ordered(seeds.to_vec(), |seed| {
-        let mut testbed =
-            Testbed::build_sized(machines, seed).expect("preset testbed profiles cleanly");
-        let planner = scenario_planner(&testbed, options);
-        let mut sweep = crate::harness::Sweep::default();
-        for &pct in &options.load_percents {
-            for m in [Method::numbered(7), Method::numbered(8)] {
-                if let Ok(run) = run_method_with(&planner, &mut testbed, m, pct, options) {
-                    sweep.insert(m, pct, run);
+    seeds
+        .iter()
+        .map(|&seed| {
+            let mut testbed =
+                Testbed::build_sized(machines, seed).expect("preset testbed profiles cleanly");
+            let planner = scenario_planner(&testbed, options);
+            let mut sweep = crate::harness::Sweep::default();
+            for &pct in &options.load_percents {
+                for m in [Method::numbered(7), Method::numbered(8)] {
+                    if let Ok(run) = run_method_with(&planner, &mut testbed, m, pct, options) {
+                        sweep.insert(m, pct, run);
+                    }
                 }
             }
-        }
-        let s = savings_summary(&sweep, Method::numbered(8), Method::numbered(7))
-            .expect("both methods ran");
-        SeedOutcome {
-            seed,
-            mean_savings: s.mean,
-            max_savings: s.max,
-            min_savings: s.min,
-        }
-    })
+            let s = savings_summary(&sweep, Method::numbered(8), Method::numbered(7))
+                .expect("both methods ran");
+            SeedOutcome {
+                seed,
+                mean_savings: s.mean,
+                max_savings: s.max,
+                min_savings: s.min,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -240,96 +240,12 @@ impl Sweep {
     }
 }
 
-/// Maps `f` over owned `items`, preserving order.
+/// Runs every `(method, load)` combination on the testbed, load-major
+/// (matching report ordering).
 ///
-/// With the `parallel` feature, contiguous item chunks run on
-/// `std::thread::scope` workers and the per-chunk results are concatenated
-/// back in item order, so the output is *identical* to the serial map —
-/// same elements, same positions. Without the feature this is a plain
-/// serial map.
-pub(crate) fn par_map_ordered<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    #[cfg(feature = "parallel")]
-    {
-        let workers = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        par_map_ordered_with(items, f, workers)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        items.into_iter().map(f).collect()
-    }
-}
-
-/// [`par_map_ordered`] with an explicit worker count; `workers <= 1` runs
-/// serially. Exposed separately so the equivalence tests can force the
-/// threaded path even on single-CPU hosts.
-#[cfg(feature = "parallel")]
-pub(crate) fn par_map_ordered_with<T, R, F>(items: Vec<T>, f: F, workers: usize) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = workers.min(n.max(1));
-    if workers <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let chunk_len = n.div_ceil(workers);
-    let mut items = items;
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(workers);
-    // Split front-to-back so chunk order equals item order.
-    while !items.is_empty() {
-        let take = chunk_len.min(items.len());
-        let rest = items.split_off(take);
-        chunks.push(std::mem::replace(&mut items, rest));
-    }
-    let mut out = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| scope.spawn(move || chunk.into_iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        for handle in handles {
-            out.extend(handle.join().expect("sweep worker panicked"));
-        }
-    });
-    out
-}
-
-/// The scenario grid of a sweep, load-major (matching report ordering).
-fn sweep_grid(methods: &[Method], options: &SweepOptions) -> Vec<(Method, f64)> {
-    options
-        .load_percents
-        .iter()
-        .flat_map(|&percent| methods.iter().map(move |&method| (method, percent)))
-        .collect()
-}
-
-fn collect_sweep(grid: &[(Method, f64)], results: Vec<Option<MethodRun>>) -> Sweep {
-    let mut sweep = Sweep::default();
-    for (&(method, percent), run) in grid.iter().zip(results) {
-        if let Some(run) = run {
-            sweep.insert(method, percent, run);
-        }
-    }
-    sweep
-}
-
-/// Runs every `(method, load)` combination on the testbed.
-///
-/// Each scenario runs on its own clone of the testbed's *entry* state, so
-/// scenarios are independent of one another and of execution order; with
-/// the `parallel` feature they fan out across scoped threads (each clone
-/// carries its own simulation scratch) and the result is bit-identical to
-/// [`run_sweep_serial`].
+/// Each scenario runs on its own clone of the testbed's *entry* state,
+/// taken when the scenario starts, so scenarios are independent of one
+/// another and of execution order.
 ///
 /// Methods that cannot plan a combination (e.g. infeasible corner) are
 /// skipped rather than failing the sweep; [`Sweep::get`] then returns
@@ -338,69 +254,24 @@ pub fn run_sweep(testbed: &mut Testbed, methods: &[Method], options: &SweepOptio
     let _span = telemetry::span("sweep")
         .attr("methods", methods.len())
         .record_into("coolopt_sweep_seconds");
-    // Scenario spans on worker threads parent on the sweep explicitly —
-    // the thread-local stack does not cross threads.
-    let sweep_id = _span.id();
     let planner = scenario_planner(testbed, options);
-    let grid = sweep_grid(methods, options);
-    let scenarios: Vec<(Method, f64, Testbed)> =
-        grid.iter().map(|&(m, p)| (m, p, testbed.clone())).collect();
-    let results = par_map_ordered(scenarios, |(method, percent, mut tb)| {
-        let _scenario = telemetry::span_child_of("sweep_scenario", sweep_id);
-        run_method_with(&planner, &mut tb, method, percent, options).ok()
-    });
-    let sweep = collect_sweep(&grid, results);
+    let mut sweep = Sweep::default();
+    for &percent in &options.load_percents {
+        for &method in methods {
+            let _scenario = telemetry::span("sweep_scenario");
+            let mut tb = testbed.clone();
+            if let Ok(run) = run_method_with(&planner, &mut tb, method, percent, options) {
+                sweep.insert(method, percent, run);
+            }
+        }
+    }
     telemetry::debug!(
         "harness",
         "sweep finished",
-        scenarios = grid.len(),
+        scenarios = options.load_percents.len() * methods.len(),
         completed = sweep.len(),
     );
     sweep
-}
-
-/// [`run_sweep`] with an explicit worker count (the public entry point uses
-/// the host's available parallelism). Lets tests force the scoped-thread
-/// path on hosts where `available_parallelism()` is 1.
-#[cfg(feature = "parallel")]
-pub fn run_sweep_with_workers(
-    testbed: &mut Testbed,
-    methods: &[Method],
-    options: &SweepOptions,
-    workers: usize,
-) -> Sweep {
-    let planner = scenario_planner(testbed, options);
-    let grid = sweep_grid(methods, options);
-    let scenarios: Vec<(Method, f64, Testbed)> =
-        grid.iter().map(|&(m, p)| (m, p, testbed.clone())).collect();
-    let results = par_map_ordered_with(
-        scenarios,
-        |(method, percent, mut tb)| {
-            run_method_with(&planner, &mut tb, method, percent, options).ok()
-        },
-        workers,
-    );
-    collect_sweep(&grid, results)
-}
-
-/// The serial oracle for [`run_sweep`]: same clone-per-scenario structure,
-/// strictly sequential execution. Used by the equivalence tests (parallel
-/// output must be bit-identical) and available for debugging.
-pub fn run_sweep_serial(
-    testbed: &mut Testbed,
-    methods: &[Method],
-    options: &SweepOptions,
-) -> Sweep {
-    let planner = scenario_planner(testbed, options);
-    let grid = sweep_grid(methods, options);
-    let results = grid
-        .iter()
-        .map(|&(method, percent)| {
-            let mut tb = testbed.clone();
-            run_method_with(&planner, &mut tb, method, percent, options).ok()
-        })
-        .collect();
-    collect_sweep(&grid, results)
 }
 
 #[cfg(test)]
@@ -425,44 +296,6 @@ mod tests {
         assert!(run.throughput_ok);
         assert!(run.total_power().as_watts() > 500.0);
         assert!((run.plan.total_load() - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn par_map_ordered_preserves_item_order() {
-        let items: Vec<usize> = (0..23).collect();
-        let out = par_map_ordered(items, |i| i * 2);
-        assert_eq!(out, (0..23).map(|i| i * 2).collect::<Vec<_>>());
-        let empty: Vec<usize> = par_map_ordered(Vec::new(), |i: usize| i);
-        assert!(empty.is_empty());
-    }
-
-    /// Acceptance criterion of the parallel-sweep work: fanning scenarios
-    /// across threads must not change a single bit of the report input.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_sweep_is_bit_identical_to_serial() {
-        let mut tb = Testbed::build_sized(4, 13).unwrap();
-        let methods = [Method::numbered(1), Method::numbered(8)];
-        let options = quick_options();
-        let serial = run_sweep_serial(&mut tb, &methods, &options);
-        // The auto-sized path (may fall back to serial on single-CPU
-        // hosts)…
-        assert_eq!(run_sweep(&mut tb, &methods, &options), serial);
-        // …and the scoped-thread path forced on, one scenario per chunk.
-        let forced = run_sweep_with_workers(&mut tb, &methods, &options, 4);
-        assert_eq!(forced, serial);
-        assert_eq!(forced.len(), 4);
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn forced_thread_map_matches_serial_map() {
-        let items: Vec<usize> = (0..17).collect();
-        let expected: Vec<usize> = items.iter().map(|i| i * i).collect();
-        for workers in [2, 3, 16, 64] {
-            let out = par_map_ordered_with(items.clone(), |i| i * i, workers);
-            assert_eq!(out, expected, "workers = {workers}");
-        }
     }
 
     #[test]

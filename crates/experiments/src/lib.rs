@@ -22,10 +22,6 @@
 //! analytic linear-RC transient model (exact-step propagator) for fast
 //! design sweeps.
 //!
-//! With the `parallel` feature, [`harness::run_sweep`] and the ablation
-//! studies fan independent scenarios across scoped threads with
-//! deterministic ordering — output is bit-identical to the serial run.
-//!
 //! [`RoomModel`]: coolopt_model::RoomModel
 
 #![warn(missing_docs)]
@@ -44,11 +40,8 @@ pub mod testbed;
 
 pub use dashboard::{energy_chart, plant_charts, write_dashboard};
 pub use figures::{FigureData, Series};
-#[cfg(feature = "parallel")]
-pub use harness::run_sweep_with_workers;
 pub use harness::{
-    run_method, run_method_with, run_sweep, run_sweep_serial, scenario_planner, MethodRun, Sweep,
-    SweepOptions,
+    run_method, run_method_with, run_sweep, scenario_planner, MethodRun, Sweep, SweepOptions,
 };
 pub use multizone::{
     render_multizone, run_multizone, MultiZoneError, MultiZoneOptions, MultiZoneOutcome,

@@ -30,7 +30,7 @@
 use coolopt_scenario::Scenario;
 use coolopt_service::{proto, ServiceCore};
 use coolopt_telemetry as telemetry;
-use std::io::{BufRead, BufReader, Write};
+use std::io::BufReader;
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -200,23 +200,10 @@ fn serve_stdin(
     collector: Option<&telemetry::CollectorHandle>,
     dashboard: Option<&str>,
 ) -> ExitCode {
-    let stdin = std::io::stdin();
-    let mut stdout = std::io::stdout().lock();
-    for line in stdin.lock().lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(e) => {
-                eprintln!("coolopt-serve: stdin: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let encoded = proto::handle_line(core, &line);
-        if writeln!(stdout, "{encoded}").is_err() {
-            break;
-        }
+    let served = proto::serve_lines(core, std::io::stdin().lock(), std::io::stdout().lock());
+    if let Err(e) = served {
+        eprintln!("coolopt-serve: stdin: {e}");
+        return ExitCode::FAILURE;
     }
     emit_final(core, collector, dashboard);
     ExitCode::SUCCESS
@@ -245,23 +232,15 @@ fn serve_tcp(core: &Arc<ServiceCore>, addr: &str) -> ExitCode {
                 .peer_addr()
                 .map(|a| a.to_string())
                 .unwrap_or_else(|_| "?".to_string());
-            let mut writer = match stream.try_clone() {
+            let writer = match stream.try_clone() {
                 Ok(writer) => writer,
                 Err(e) => {
                     eprintln!("coolopt-serve: {peer}: {e}");
                     return;
                 }
             };
-            for line in BufReader::new(stream).lines() {
-                let Ok(line) = line else { break };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let encoded = proto::handle_line(&core, &line);
-                if writeln!(writer, "{encoded}").is_err() {
-                    break;
-                }
-            }
+            // A read error ends the connection, like its peer closing it.
+            let _ = proto::serve_lines(&core, BufReader::new(stream), writer);
         });
     }
     ExitCode::SUCCESS

@@ -46,9 +46,9 @@
 //! Coalescing must be invisible: the answer a client gets for load `L` is
 //! bit-identical to what a sequential [`IndexSnapshot::query_min_power`]
 //! against the tenant's published snapshot would return — the same
-//! discipline that pins batched ≡ sequential at the index layer and
-//! serial ≡ parallel in the builder. `tests/coalesce_identity.rs` proptests
-//! this under real thread interleavings.
+//! discipline that pins batched ≡ sequential at the index layer.
+//! `tests/coalesce_identity.rs` proptests this under real thread
+//! interleavings.
 //!
 //! [`SnapshotCell`]: coolopt_core::SnapshotCell
 //! [`IndexSnapshot::query_batch`]: coolopt_core::IndexSnapshot::query_batch

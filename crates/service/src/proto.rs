@@ -27,6 +27,10 @@
 //! flight-recorder spans as an embedded Chrome-trace fragment (bounded by
 //! `limit`). All are safe concurrent with planning traffic,
 //! re-registration and eviction — no scrape ever blocks a batch.
+//!
+//! [`serve_lines`] is the serve loop both `coolopt-serve` transports run:
+//! bounded byte-level reads, so an over-long or non-UTF-8 line costs one
+//! error reply, never the connection.
 
 use crate::core::ServiceCore;
 use crate::stats::ServiceStatsDoc;
@@ -36,6 +40,7 @@ use coolopt_telemetry as telemetry;
 use coolopt_telemetry::{Agg, RangeQuery};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
+use std::io::{self, BufRead, Read};
 
 /// One wire request: a planning submission (a single `load`, a burst of
 /// `loads`, or both — the single load is planned after the burst), or an
@@ -149,6 +154,16 @@ impl Response {
             tenant: tenant.to_string(),
             ok: false,
             error: Some(error.to_string()),
+            results: Vec::new(),
+        }
+    }
+
+    /// The refusal of a line that is not a request at all.
+    fn malformed(error: impl std::fmt::Display) -> Self {
+        Response {
+            tenant: String::new(),
+            ok: false,
+            error: Some(format!("malformed request: {error}")),
             results: Vec::new(),
         }
     }
@@ -301,14 +316,7 @@ impl Reply {
 pub fn handle_request(core: &ServiceCore, line: &str) -> Reply {
     let request: Request = match serde_json::from_str(line) {
         Ok(request) => request,
-        Err(e) => {
-            return Reply::Plan(Response {
-                tenant: String::new(),
-                ok: false,
-                error: Some(format!("malformed request: {e}")),
-                results: Vec::new(),
-            })
-        }
+        Err(e) => return Reply::Plan(Response::malformed(e)),
     };
     match request.cmd.as_deref() {
         None | Some("plan") => Reply::Plan(handle_plan(core, request)),
@@ -432,6 +440,66 @@ fn handle_trace(request: &Request) -> TraceReply {
 /// write back (the string form of [`handle_request`]).
 pub fn handle_line(core: &ServiceCore, line: &str) -> String {
     handle_request(core, line).encode()
+}
+
+/// Longest request line [`serve_lines`] buffers, in bytes, line ending
+/// excluded. It sits above the 1 000 000-byte deeply nested line the
+/// parser's recursion limit is tested with.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Serves line-delimited requests from `input` until it ends, writing one
+/// reply line per non-blank request line to `output`.
+///
+/// Lines end at `\n` or `\r\n`; lines of only whitespace are skipped. At
+/// most [`MAX_LINE_BYTES`] of a line are buffered: a longer line is
+/// answered with one `ok: false` reply and discarded up to its newline. A
+/// line that is not UTF-8 is answered with one `ok: false` "malformed
+/// request" reply. Each reply is written with one `writeln!`.
+///
+/// # Errors
+///
+/// Returns the first read error from `input`. A failed write ends the loop
+/// with `Ok(())`: nobody is left to answer.
+pub fn serve_lines(
+    core: &ServiceCore,
+    mut input: impl BufRead,
+    mut output: impl io::Write,
+) -> io::Result<()> {
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        // Two bytes of headroom hold a full-length line's `\r\n`.
+        let read = input
+            .by_ref()
+            .take(MAX_LINE_BYTES as u64 + 2)
+            .read_until(b'\n', &mut line)?;
+        if read == 0 {
+            return Ok(());
+        }
+        let terminated = line.last() == Some(&b'\n');
+        if terminated {
+            line.pop();
+            if line.last() == Some(&b'\r') {
+                line.pop();
+            }
+        }
+        let encoded = if line.len() > MAX_LINE_BYTES {
+            if !terminated {
+                input.skip_until(b'\n')?;
+            }
+            let error = format!("line longer than {MAX_LINE_BYTES} bytes");
+            Reply::Plan(Response::malformed(error)).encode()
+        } else {
+            match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => handle_line(core, text),
+                Err(e) => Reply::Plan(Response::malformed(e)).encode(),
+            }
+        };
+        if writeln!(output, "{encoded}").is_err() {
+            return Ok(());
+        }
+    }
 }
 
 fn handle_plan(core: &ServiceCore, request: Request) -> Response {

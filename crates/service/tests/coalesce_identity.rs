@@ -203,7 +203,11 @@ fn reregistration_churn_never_blends_engines() {
     });
 
     // After churn settles the tenant answers like its final engine.
-    let last = if ROUNDS % 2 == 0 { expect_a } else { expect_b };
+    let last = if ROUNDS.is_multiple_of(2) {
+        expect_a
+    } else {
+        expect_b
+    };
     assert_eq!(core.submit_one("churn", PROBE).unwrap().unwrap(), last);
     assert_eq!(tenant.generation(), (ROUNDS + 1) as u64);
 }

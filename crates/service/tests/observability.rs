@@ -273,7 +273,7 @@ fn scrapes_are_safe_concurrent_with_reregistration_and_eviction() {
             b.zones[0].cooling.cf_watts_per_kelvin *= 1.25;
             let mut i = 0usize;
             while !stop.load(Ordering::Relaxed) {
-                let scenario = if i % 2 == 0 { &a } else { &b };
+                let scenario = if i.is_multiple_of(2) { &a } else { &b };
                 core.register_scenario(scenario).unwrap();
                 if i % 7 == 6 {
                     core.evict("testbed_rack20/rack");

@@ -1,9 +1,11 @@
 //! Registry semantics: scenario registration, content-hash aliasing,
-//! eviction, and the wire protocol's encode/decode round trip.
+//! eviction, the wire protocol's encode/decode round trip, and the serve
+//! loop's handling of hostile bytes.
 
 use coolopt_scenario::presets;
 use coolopt_service::{proto, ServiceCore, TenantId};
-use std::sync::Arc;
+use proptest::prelude::*;
+use std::sync::{Arc, OnceLock};
 
 #[test]
 fn scenario_zones_become_tenants_with_content_hash_aliases() {
@@ -176,4 +178,148 @@ fn deeply_nested_lines_are_refused_without_overflowing_the_stack() {
     })
     .join()
     .expect("the parsing thread survives");
+}
+
+/// Runs `input` through the serve loop and returns its reply lines.
+fn serve(core: &ServiceCore, input: &[u8]) -> Vec<String> {
+    let mut output = Vec::new();
+    proto::serve_lines(core, input, &mut output).expect("in-memory input never fails");
+    String::from_utf8(output)
+        .expect("replies are UTF-8")
+        .lines()
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn serve_lines_answers_bad_bytes_and_over_long_lines_then_plans() {
+    let core = ServiceCore::default();
+    core.register_scenario(&presets::testbed_rack20(0)).unwrap();
+
+    let mut input = b"\xff\n".to_vec();
+    input.extend(std::iter::repeat_n(b'1', 2 << 20));
+    input.extend_from_slice(b"\n{\"tenant\":\"testbed_rack20/rack\",\"load\":2.0}\r\n\n");
+    let replies = serve(&core, &input);
+    assert_eq!(replies.len(), 3, "{replies:?}");
+
+    let decode = |line: &str| serde_json::from_str::<proto::Response>(line).unwrap();
+    let not_utf8 = decode(&replies[0]);
+    assert!(!not_utf8.ok);
+    assert!(not_utf8.error.unwrap().contains("malformed request"));
+    let too_long = decode(&replies[1]);
+    assert!(!too_long.ok);
+    assert!(too_long.error.unwrap().contains("longer than"));
+    let planned = decode(&replies[2]);
+    assert!(planned.ok && planned.results[0].feasible, "{planned:?}");
+
+    // A line of exactly the limit is still read (and refused by the
+    // parser, not by the reader); an unterminated last line is served.
+    let mut at_limit = vec![b' '; proto::MAX_LINE_BYTES - 1];
+    at_limit.push(b'x');
+    at_limit.extend_from_slice(b"\n{\"cmd\":\"stats\"}");
+    let replies = serve(&core, &at_limit);
+    assert_eq!(replies.len(), 2, "{replies:?}");
+    assert!(!decode(&replies[0]).error.unwrap().contains("longer than"));
+    assert!(replies[1].contains("coolopt-service-stats-v1"));
+}
+
+/// One core for every property case: registering a tenant per case would
+/// dominate the run time.
+fn shared_core() -> &'static ServiceCore {
+    static CORE: OnceLock<ServiceCore> = OnceLock::new();
+    CORE.get_or_init(|| {
+        let core = ServiceCore::default();
+        core.register_scenario(&presets::testbed_rack20(0)).unwrap();
+        core
+    })
+}
+
+/// Asserts the serve loop answered every non-blank line of `input` with
+/// exactly one JSON object line.
+fn assert_one_object_per_line(input: &[u8]) {
+    let replies = serve(shared_core(), input);
+    let requests = input
+        .split(|&b| b == b'\n')
+        .filter(|line| std::str::from_utf8(line).map_or(true, |s| !s.trim().is_empty()))
+        .count();
+    assert_eq!(replies.len(), requests, "input {input:?} got {replies:?}");
+    for reply in &replies {
+        let value: serde::Value = serde_json::from_str(reply)
+            .unwrap_or_else(|e| panic!("reply {reply:?} is not JSON: {e}"));
+        assert!(matches!(value, serde::Value::Object(_)), "{reply}");
+    }
+}
+
+/// Pieces of requests, well-formed and not, that lines are assembled from.
+const FRAGMENTS: &[&str] = &[
+    "{",
+    "}",
+    "[",
+    "]",
+    ",",
+    ":",
+    " ",
+    "\r",
+    "\"",
+    "\\",
+    "\"tenant\"",
+    "\"loads\"",
+    "\"load\"",
+    "\"cmd\"",
+    "\"query\"",
+    "\"stats\"",
+    "\"trace\"",
+    "\"plan\"",
+    "\"limit\"",
+    "\"series\"",
+    "\"agg\"",
+    "\"step_ms\"",
+    "\"start_ms\"",
+    "\"testbed_rack20/rack\"",
+    "\"ghost\"",
+    "1e999",
+    "-0",
+    "null",
+    "true",
+    "2.5",
+    "-1",
+    "0",
+    "18446744073709551616",
+    "-9223372036854775808",
+    "\"\\u0000\"",
+    "\"\\ud800\"",
+    "\u{ff}",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Arbitrary bytes, newlines included: one JSON object per non-blank
+    /// line, never an error or a panic.
+    #[test]
+    fn arbitrary_bytes_get_one_json_object_per_line(
+        input in prop::collection::vec((0u16..256, 0u8..6), 0..200).prop_map(|raw| {
+            raw.into_iter()
+                .map(|(byte, pick)| if pick == 0 { b'\n' } else { byte as u8 })
+                .collect::<Vec<u8>>()
+        }),
+    ) {
+        assert_one_object_per_line(&input);
+    }
+
+    /// Lines assembled from JSON fragments: near-misses of real requests.
+    #[test]
+    fn json_fragment_lines_get_one_json_object_per_line(
+        lines in prop::collection::vec(
+            prop::collection::vec(0usize..FRAGMENTS.len(), 0..16),
+            1..6,
+        ),
+    ) {
+        let input = lines
+            .iter()
+            .map(|line| line.iter().map(|&i| FRAGMENTS[i]).collect::<String>())
+            .collect::<Vec<_>>()
+            .join("\n");
+        assert_one_object_per_line(input.as_bytes());
+    }
 }

@@ -1,7 +1,5 @@
 //! Property-based certification of the solver-engine refactor: a planner
-//! that memoizes its engine must be indistinguishable from a fresh planner,
-//! and (under `--features parallel`) the chunked index build must be
-//! bit-identical to the serial one.
+//! that memoizes its engine must be indistinguishable from a fresh planner.
 
 use coolopt::alloc::{Method, Planner};
 use coolopt::cooling::SetPointTable;
@@ -73,30 +71,6 @@ proptest! {
                     "feasibility disagreement at load {load}: {a:?} vs {b:?}"
                 ),
             }
-        }
-    }
-}
-
-#[cfg(feature = "parallel")]
-mod parallel {
-    use coolopt::core::ConsolidationIndex;
-    use proptest::prelude::*;
-
-    /// Random well-conditioned particle pairs `(a, b)`.
-    fn pairs(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(f64, f64)>> {
-        prop::collection::vec((0.1f64..30.0, 0.2f64..8.0), n)
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// The chunked build must not merely agree numerically — the whole
-        /// index (snapshots, status order, every f64) must be identical.
-        #[test]
-        fn parallel_build_is_bit_identical_to_serial(pairs in pairs(2..12)) {
-            let serial = ConsolidationIndex::build(&pairs).unwrap();
-            let parallel = ConsolidationIndex::build_parallel(&pairs).unwrap();
-            prop_assert_eq!(serial, parallel);
         }
     }
 }
