@@ -178,48 +178,96 @@ impl Planner {
         self.engine()
     }
 
-    /// Plans `method` for `total_load`.
+    /// Plans `method` for `total_load`: a [`Planner::plan_batch`] of one.
     ///
     /// # Errors
     ///
     /// Returns [`PolicyError`] for unservable loads or infeasible
     /// temperature constraints.
     pub fn plan(&self, method: Method, total_load: f64) -> Result<AllocationPlan, PolicyError> {
-        let mut span = telemetry::span("plan").attr("load", total_load);
-        let result = self.plan_impl(method, total_load);
-        telemetry::counter("coolopt_plans_total").inc();
-        span.set_attr("ok", result.is_ok());
-        if result.is_err() {
-            telemetry::counter("coolopt_plan_failures_total").inc();
-        }
-        result
+        self.plan_batch(method, std::slice::from_ref(&total_load))
+            .pop()
+            .expect("one plan per load")
     }
 
-    fn plan_impl(&self, method: Method, total_load: f64) -> Result<AllocationPlan, PolicyError> {
+    /// Plans `method` for every load of `loads` (one result per input, in
+    /// input order).
+    ///
+    /// Each load is validated once and finished through the same steps:
+    /// ON-set and per-machine loads, then the cooling choice. For the
+    /// consolidating `Optimal` method the ON-sets of all valid, positive
+    /// loads come from one [`IndexSnapshot::query_batch`] call — sorted
+    /// once, one walk over the index's per-`k` envelopes for the whole
+    /// batch — which is markedly cheaper than a query per load for e.g. a
+    /// replay over a load trace.
+    pub fn plan_batch(
+        &self,
+        method: Method,
+        loads: &[f64],
+    ) -> Vec<Result<AllocationPlan, PolicyError>> {
+        let mut span = telemetry::span("plan").attr("loads", loads.len());
         let n = self.model.len();
-        if !total_load.is_finite() || total_load < 0.0 || total_load > n as f64 + 1e-9 {
-            return Err(PolicyError::LoadOutOfRange {
-                load: total_load,
-                machines: n,
-            });
-        }
-
-        let (on, loads) = self.distribute(method, total_load)?;
-        let (t_ac_target, set_point) = self.choose_cooling(method, &on, &loads, total_load)?;
-        Ok(AllocationPlan {
-            method,
-            on,
-            loads,
-            t_ac_target,
-            set_point,
-        })
+        let in_range = |load: f64| load.is_finite() && load >= 0.0 && load <= n as f64 + 1e-9;
+        let queries_engine =
+            |load: f64| method.strategy == Strategy::Optimal && method.consolidation && load > 0.0;
+        let queried: Vec<f64> = loads
+            .iter()
+            .copied()
+            .filter(|&load| in_range(load) && queries_engine(load))
+            .collect();
+        let answers: Vec<Result<Vec<usize>, SolveError>> = if queried.is_empty() {
+            Vec::new()
+        } else {
+            match self
+                .engine()
+                .and_then(|engine| engine.query_batch(&queried, Some(&self.model)))
+            {
+                Ok(answers) => answers
+                    .into_iter()
+                    .map(|answer| {
+                        answer.map(|c| c.on).ok_or_else(|| SolveError::Infeasible {
+                            reason: "no subset can carry this load within capacity".to_string(),
+                        })
+                    })
+                    .collect(),
+                Err(e) => vec![Err(e); queried.len()],
+            }
+        };
+        let mut answers = answers.into_iter();
+        let results: Vec<Result<AllocationPlan, PolicyError>> = loads
+            .iter()
+            .map(|&load| {
+                if !in_range(load) {
+                    return Err(PolicyError::LoadOutOfRange { load, machines: n });
+                }
+                let optimal_on = queries_engine(load)
+                    .then(|| answers.next().expect("one answer per queried load"));
+                let (on, loads) = self.distribute(method, load, optimal_on)?;
+                let (t_ac_target, set_point) = self.choose_cooling(method, &on, &loads, load)?;
+                Ok(AllocationPlan {
+                    method,
+                    on,
+                    loads,
+                    t_ac_target,
+                    set_point,
+                })
+            })
+            .collect();
+        let failures = results.iter().filter(|r| r.is_err()).count();
+        span.set_attr("failures", failures);
+        telemetry::counter("coolopt_plans_total").add(results.len() as u64);
+        telemetry::counter("coolopt_plan_failures_total").add(failures as u64);
+        results
     }
 
-    /// Chooses the ON-set and the per-machine loads.
+    /// Chooses the ON-set and the per-machine loads. `optimal_on` is the
+    /// engine's answer for a consolidating `Optimal` plan of a positive
+    /// load, and `None` for every other plan.
     fn distribute(
         &self,
         method: Method,
         total_load: f64,
+        optimal_on: Option<Result<Vec<usize>, SolveError>>,
     ) -> Result<(Vec<usize>, Vec<f64>), PolicyError> {
         let n = self.model.len();
         // Only the non-consolidating branches turn every machine on; built
@@ -266,19 +314,11 @@ impl Planner {
                 Ok((on, loads))
             }
             (Strategy::Optimal, cons) => {
-                let on = if cons {
-                    if total_load <= 0.0 {
-                        Vec::new()
-                    } else {
-                        self.engine()?
-                            .query_min_power(total_load, Some(&self.model))?
-                            .ok_or(SolveError::Infeasible {
-                                reason: "no subset can carry this load within capacity".to_string(),
-                            })?
-                            .on
-                    }
-                } else {
-                    all()
+                let on = match optimal_on {
+                    Some(on) => on?,
+                    // A zero load consolidates onto no machine.
+                    None if cons => Vec::new(),
+                    None => all(),
                 };
                 let loads = self.optimal_loads(&on, total_load)?;
                 Ok((on, loads))
@@ -288,9 +328,7 @@ impl Planner {
 
     /// The closed-form optimal per-machine loads for a fixed ON-set,
     /// falling back to the capped-temperature redistribution when the
-    /// actuator cannot reach the model-optimal supply. Shared by
-    /// [`Planner::plan`] and [`Planner::plan_batch`], so the two produce
-    /// identical plans.
+    /// actuator cannot reach the model-optimal supply.
     fn optimal_loads(&self, on: &[usize], total_load: f64) -> Result<Vec<f64>, PolicyError> {
         let n = self.model.len();
         if on.is_empty() {
@@ -310,93 +348,6 @@ impl Planner {
             }
         }
         Ok(full)
-    }
-
-    /// Finishes a consolidating `Optimal` plan from its chosen ON-set.
-    fn finish_optimal_cons(
-        &self,
-        method: Method,
-        on: Vec<usize>,
-        total_load: f64,
-    ) -> Result<AllocationPlan, PolicyError> {
-        let loads = self.optimal_loads(&on, total_load)?;
-        let (t_ac_target, set_point) = self.choose_cooling(method, &on, &loads, total_load)?;
-        Ok(AllocationPlan {
-            method,
-            on,
-            loads,
-            t_ac_target,
-            set_point,
-        })
-    }
-
-    /// Plans `method` for every load of `loads` (one result per input, in
-    /// input order), producing exactly the plans [`Planner::plan`] would.
-    ///
-    /// For the consolidating `Optimal` method the consolidation queries are
-    /// answered by [`IndexSnapshot::query_batch`] — sorted once, one walk
-    /// over the index's per-`k` envelopes for the whole batch — instead of
-    /// a binary-search scan per load, which is markedly cheaper for e.g. a
-    /// replay over a load trace. Other methods delegate to
-    /// [`Planner::plan`] per load (they have no batchable offline work).
-    pub fn plan_batch(
-        &self,
-        method: Method,
-        loads: &[f64],
-    ) -> Vec<Result<AllocationPlan, PolicyError>> {
-        if !(method.strategy == Strategy::Optimal && method.consolidation) {
-            return loads.iter().map(|&l| self.plan(method, l)).collect();
-        }
-        let _span = telemetry::span("plan_batch")
-            .attr("loads", loads.len())
-            .record_into("coolopt_plan_batch_seconds");
-        let n = self.model.len();
-        // Validate exactly as plan() does, batching only the valid,
-        // positive loads.
-        let mut results: Vec<Option<Result<AllocationPlan, PolicyError>>> =
-            loads.iter().map(|_| None).collect();
-        let mut queried: Vec<(usize, f64)> = Vec::with_capacity(loads.len());
-        for (slot, &load) in loads.iter().enumerate() {
-            if !load.is_finite() || load < 0.0 || load > n as f64 + 1e-9 {
-                results[slot] = Some(Err(PolicyError::LoadOutOfRange { load, machines: n }));
-            } else if load <= 0.0 {
-                results[slot] = Some(self.finish_optimal_cons(method, Vec::new(), load));
-            } else {
-                queried.push((slot, load));
-            }
-        }
-        if !queried.is_empty() {
-            let batch_loads: Vec<f64> = queried.iter().map(|&(_, l)| l).collect();
-            let answers = self
-                .engine()
-                .and_then(|engine| engine.query_batch(&batch_loads, Some(&self.model)));
-            match answers {
-                Err(e) => {
-                    for &(slot, _) in &queried {
-                        results[slot] = Some(Err(e.clone().into()));
-                    }
-                }
-                Ok(answers) => {
-                    for (&(slot, load), answer) in queried.iter().zip(answers) {
-                        results[slot] = Some(match answer {
-                            None => Err(SolveError::Infeasible {
-                                reason: "no subset can carry this load within capacity".to_string(),
-                            }
-                            .into()),
-                            Some(c) => self.finish_optimal_cons(method, c.on, load),
-                        });
-                    }
-                }
-            }
-        }
-        let results: Vec<Result<AllocationPlan, PolicyError>> = results
-            .into_iter()
-            .map(|r| r.expect("every slot is answered"))
-            .collect();
-        telemetry::counter("coolopt_plans_total").add(results.len() as u64);
-        let failures = results.iter().filter(|r| r.is_err()).count();
-        telemetry::counter("coolopt_plan_failures_total").add(failures as u64);
-        results
     }
 
     /// Highest supply temperature keeping every ON machine at or below

@@ -7,8 +7,8 @@
 //!   20…1000 machines; the from-scratch `O(n³)` dense oracle is swept only
 //!   to 200 (its table alone is ~n³ rows).
 //! * `query_batch_vs_sequential` — 64 exact consolidation queries on a
-//!   200-machine index: one `query_batch` call vs 64 sequential
-//!   `query_min_power` calls, with and without the capacity model.
+//!   200-machine index: one `query_batch` call vs 64 `query_min_power`
+//!   calls (each a batch of one), with and without the capacity model.
 //! * `plan_latency` — a single `plan()` on a 20-machine room, cold (fresh
 //!   planner, pays the index build) vs warm (published snapshot, pure
 //!   query).

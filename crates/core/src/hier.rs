@@ -19,11 +19,11 @@
 //!    centroid particles: `O(C²)` events and rows instead of `O(n²)`.
 //!    Within a cluster, members are interchangeable up to the radius, so
 //!    the best size-`k` subset is *full clusters plus a boundary slice*:
-//!    each [`HierRow`] covers the whole candidate range
+//!    each `HierRow` covers the whole candidate range
 //!    `k = k_lo + j, j ∈ [1, m]` of one cluster-prefix with `O(1)` state.
 //! 2. **Lazy envelope generation.** Per-class upper envelopes (the
 //!    hierarchical analogue of the flat index's per-`k` hulls, built with
-//!    the shared [`build_upper_hull`]) are materialized on first touch via
+//!    the shared `build_upper_hull`) are materialized on first touch via
 //!    `OnceLock` — queries that never visit a size class never pay for its
 //!    hull, and repeated queries hit the cached one.
 //! 3. **Error-bounded answers.** Every query returns a certified absolute
@@ -1132,9 +1132,8 @@ impl HierIndex {
                 });
             }
         }
-        let _span = telemetry::span("hier_query_batch")
-            .attr("loads", loads.len())
-            .record_into("coolopt_hier_query_seconds");
+        // Each distinct load's `hier_query` span records its own latency.
+        let _span = telemetry::span("hier_query_batch").attr("loads", loads.len());
         let mut results: Vec<Option<Consolidation>> = vec![None; loads.len()];
         let mut seen: HashMap<u64, usize> = HashMap::new();
         for (i, &load) in loads.iter().enumerate() {

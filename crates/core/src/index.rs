@@ -48,16 +48,18 @@
 //! * [`ConsolidationIndex::query_online`] answers a load query in
 //!   `O(log n)` by binary search over statuses sorted by their maximum
 //!   servable load — the paper's Algorithm 2;
-//! * [`ConsolidationIndex::query_min_power`] returns the exact minimum-power
-//!   candidate. Instead of scanning the whole table it consults a per-`k`
-//!   upper envelope (convex hull over each size class's `t(L)` lines, built
-//!   once) for the best optimistic bound of every size class, evaluates the
-//!   global argmin first, and then visits only size classes whose bound can
-//!   still beat the incumbent — with a capacity model, surviving classes
-//!   are scanned row-by-row under the same bound test;
-//! * [`ConsolidationIndex::query_batch`] answers many loads in one pass:
-//!   queries are sorted ascending and the per-`k` envelopes are walked with
-//!   monotone pointers, amortizing candidate selection across the batch;
+//! * [`ConsolidationIndex::query_batch`] returns the exact minimum-power
+//!   candidate for every load of a batch. Instead of scanning the whole
+//!   table it consults a per-`k` upper envelope (convex hull over each size
+//!   class's `t(L)` lines, built once) for the best optimistic bound of
+//!   every size class, evaluates the global argmin first, and then visits
+//!   only size classes whose bound can still beat the incumbent — with a
+//!   capacity model, surviving classes are scanned row-by-row under the
+//!   same bound test. Loads are sorted ascending and the envelopes are
+//!   walked with monotone pointers, amortizing candidate selection across
+//!   the batch;
+//! * [`ConsolidationIndex::query_min_power`] is that query for a single
+//!   load: a batch of one;
 //! * [`ConsolidationIndex::max_load`] solves the paper's intermediate
 //!   `maxL(A, P_b, k)` problem.
 
@@ -183,7 +185,7 @@ pub(crate) fn tie_eps(reference: f64) -> f64 {
 /// says whether the model indexes every machine `on` refers to; when it does
 /// not, evaluation must use the validating slow path. `None` means the
 /// subset cannot serve the load within capacity. Shared by the flat
-/// sequential/batched evaluators and the hierarchical refinement.
+/// evaluator and the hierarchical refinement.
 pub(crate) fn capacity_ratio(
     model: &RoomModel,
     model_covers: bool,
@@ -384,8 +386,8 @@ struct StatusRecord {
 /// Each row is a line with slope `−1/Σb_r`; the envelope (a convex hull
 /// over lines, built once at table construction) yields the row with the
 /// maximum — i.e. cheapest, Eq. 23 decreasing in `t` — optimistic ratio for
-/// any load in `O(log)` per query, or amortized `O(1)` along an ascending
-/// load batch.
+/// any load in `O(log h)` over its `h` segments (see
+/// `StatusTable::envelope_step`).
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 struct KGroup {
     /// Column indices of this size class's rows (ascending, i.e. in table
@@ -472,13 +474,18 @@ impl StatusTable {
 
     /// The size-`k` row with the maximum optimistic ratio at `load`, with
     /// that ratio. `None` when the whole size class is infeasible (`t ≤ 0`).
-    fn envelope_best(&self, k_idx: usize, load: f64) -> Option<(u32, f64)> {
+    ///
+    /// `segment` is the class's envelope segment for the previous load of
+    /// an ascending walk (`0` to start). It advances by a binary search
+    /// over the rest of the hull, which picks the same segment as a linear
+    /// walk because the breaks strictly increase.
+    fn envelope_step(&self, k_idx: usize, segment: &mut usize, load: f64) -> Option<(u32, f64)> {
         let group = &self.groups[k_idx];
         if group.hull_rows.is_empty() {
             return None;
         }
-        let seg = group.hull_breaks.partition_point(|&x| x <= load);
-        let row = group.hull_rows[seg];
+        *segment += group.hull_breaks[*segment..].partition_point(|&x| x <= load);
+        let row = group.hull_rows[*segment];
         let ri = row as usize;
         let t = (self.sum_a[ri] - load) * self.inv_sum_b[ri];
         (t > 0.0).then_some((row, t))
@@ -768,11 +775,10 @@ struct QueryCtx<'a> {
     model_covers: bool,
 }
 
-/// Reusable scratch for the batched query path. A row's ordered ON prefix
+/// Reusable scratch for one exact query batch. A row's ordered ON prefix
 /// depends only on its sample time — never on the queried load — so one
 /// reconstruction serves every load in the batch that evaluates or wins on
-/// that row. The sequential path is stateless and re-sorts per call; this
-/// cache is the structural advantage batching buys.
+/// that row.
 #[derive(Default)]
 struct BatchScratch {
     /// Coordinates at the row's sample time, computed once per
@@ -893,17 +899,37 @@ impl ConsolidationIndex {
         if idx >= self.statuses.len() {
             return None;
         }
-        Some(self.materialize(idx, total_load))
+        Some(self.materialize(idx, total_load, &mut BatchScratch::default()))
     }
 
-    /// Exact minimum-power query: returns the candidate minimizing
-    /// `k·w2 − ρ·min(t, t_cap)` at the exact ratio `t = (Σa − L)/Σb`.
+    /// Exact minimum-power query for one load: a [`query_batch`] of one.
     ///
-    /// The scan consults each size class's precomputed envelope
-    /// ([`KGroup`]) for its best optimistic bound, evaluates the global
-    /// argmin first, and then visits only classes whose bound can still
-    /// beat the incumbent — typically a handful of evaluations instead of
-    /// the whole table.
+    /// # Errors
+    ///
+    /// Returns [`SolveError::LoadOutOfRange`] for a negative or non-finite
+    /// load.
+    ///
+    /// [`query_batch`]: ConsolidationIndex::query_batch
+    pub fn query_min_power(
+        &self,
+        terms: &PowerTerms,
+        total_load: f64,
+        capacity_model: Option<&RoomModel>,
+    ) -> Result<Option<Consolidation>, SolveError> {
+        Ok(self
+            .query_batch(terms, std::slice::from_ref(&total_load), capacity_model)?
+            .pop()
+            .flatten())
+    }
+
+    /// Exact minimum-power query: for every load of `loads` (results in
+    /// input order), the candidate minimizing `k·w2 − ρ·min(t, t_cap)` at
+    /// the exact ratio `t = (Σa − L)/Σb`.
+    ///
+    /// The scan consults each size class's precomputed upper envelope for
+    /// its best optimistic bound, evaluates the global argmin first, and
+    /// then visits only classes whose bound can still beat the incumbent —
+    /// typically a handful of evaluations instead of the whole table.
     ///
     /// With `capacity_model` supplied, each candidate is additionally solved
     /// under per-machine capacity (`0 ≤ L_i ≤ 1`, via
@@ -913,66 +939,18 @@ impl ConsolidationIndex {
     /// are scanned row-by-row under the same optimistic-bound test — a
     /// branch-and-bound on top of the paper's enumeration.
     ///
-    /// # Errors
+    /// Work shared between the loads of a batch is done once:
     ///
-    /// Returns [`SolveError::LoadOutOfRange`] for a negative or non-finite
-    /// load.
-    pub fn query_min_power(
-        &self,
-        terms: &PowerTerms,
-        total_load: f64,
-        capacity_model: Option<&RoomModel>,
-    ) -> Result<Option<Consolidation>, SolveError> {
-        if !total_load.is_finite() || total_load < 0.0 {
-            return Err(SolveError::LoadOutOfRange {
-                load: total_load,
-                max: self.len() as f64,
-            });
-        }
-        let _span = telemetry::span("index_query")
-            .attr("load", total_load)
-            .record_into("coolopt_index_query_seconds");
-        let ctx = QueryCtx {
-            terms,
-            total_load,
-            capacity_model,
-            model_covers: capacity_model.is_none_or(|m| m.len() >= self.len()),
-        };
-        let group_cand: Vec<Option<(u32, f64)>> = (0..self.len())
-            .map(|k_idx| self.statuses.envelope_best(k_idx, total_load))
-            .collect();
-        let mut rel_bounds = Vec::new();
-        let mut scratch = Vec::new();
-        let mut stats = QueryStats::default();
-        let mut eval = |idx: usize| self.eval_status(idx, &ctx, &mut scratch);
-        let best = self.select_min_power(&ctx, &group_cand, &mut rel_bounds, &mut eval, &mut stats);
-        stats.flush(1);
-        Ok(best.map(|(idx, t, rel)| {
-            let mut winner = self.materialize(idx, total_load);
-            winner.t = t;
-            winner.relative_power = rel;
-            winner
-        }))
-    }
-
-    /// Batched exact query: answers every load of `loads` (preserving input
-    /// order in the result) with the same selection core as
-    /// [`query_min_power`], amortizing everything a stateless call must
-    /// re-derive:
-    ///
-    /// * queries are sorted ascending and the per-`k` envelopes are walked
-    ///   with monotone pointers — one pass over the breakpoints for the
-    ///   whole batch instead of a binary search per query;
+    /// * loads are sorted ascending and each envelope pointer only moves
+    ///   forward, by a binary search over the rest of its hull;
     /// * bit-equal duplicate loads are answered once and cloned;
     /// * ordered ON prefixes are load-independent, so each status row
     ///   touched by the batch (capacity evaluation or winner
     ///   materialization) is reconstructed at most once — by `O(n)`
-    ///   selection plus an `O(k log k)` sort of the prefix, instead of the
-    ///   sequential path's full `O(n log n)` re-sort per query — and then
-    ///   served from a cache. Results are bit-identical to the sequential
-    ///   path: selection keeps the same total order (coordinate descending,
-    ///   index ascending) and capacity sums run over the same prefix in the
-    ///   same order.
+    ///   selection plus an `O(k log k)` sort of the prefix — and then
+    ///   served from a cache. Selection keeps the particle total order
+    ///   (coordinate descending, index ascending), so every load's answer
+    ///   is bit-identical to a batch of one.
     ///
     /// # Errors
     ///
@@ -992,9 +970,9 @@ impl ConsolidationIndex {
                 });
             }
         }
-        let _span = telemetry::span("index_query_batch")
+        let _span = telemetry::span("index_query")
             .attr("loads", loads.len())
-            .record_into("coolopt_index_batch_seconds");
+            .record_into("coolopt_index_query_seconds");
         let n = self.len();
         let ctx_covers = capacity_model.is_none_or(|m| m.len() >= n);
         let mut stats = QueryStats::default();
@@ -1025,11 +1003,12 @@ impl ConsolidationIndex {
                     continue;
                 }
             }
-            // One fused pass: advance the envelope pointers, and compute
-            // each feasible class's optimistic bound and the seed (same
-            // arithmetic and order as `select_min_power`'s bounds pass).
-            // Classes with `load > k` are infeasible for this and every
-            // later (larger) load, so their pointers are left untouched.
+            // One pass advances the envelope pointers and computes each
+            // feasible class's optimistic bound (∞ marks infeasibility:
+            // `t ≤ 0`, or `k` machines carrying more than `k` load) and the
+            // seed, the smallest bound. Classes with `load > k` are
+            // infeasible for this and every later (larger) load, so their
+            // pointers are left untouched.
             rel_bounds.clear();
             rel_bounds.resize(n, f64::INFINITY);
             let mut seed: Option<(usize, f64)> = None;
@@ -1039,19 +1018,9 @@ impl ConsolidationIndex {
                     *cand = None;
                     continue;
                 }
-                let group = &self.statuses.groups[k_idx];
-                *cand = if group.hull_rows.is_empty() {
-                    None
-                } else {
-                    let p = &mut pointers[k_idx];
-                    while *p < group.hull_breaks.len() && group.hull_breaks[*p] <= load {
-                        *p += 1;
-                    }
-                    let row = group.hull_rows[*p];
-                    let ri = row as usize;
-                    let t = (self.statuses.sum_a[ri] - load) * self.statuses.inv_sum_b[ri];
-                    (t > 0.0).then_some((row, t))
-                };
+                *cand = self
+                    .statuses
+                    .envelope_step(k_idx, &mut pointers[k_idx], load);
                 if let Some((_, t_bound)) = *cand {
                     let rel = terms.relative_power(k, t_bound);
                     rel_bounds[k_idx] = rel;
@@ -1066,15 +1035,13 @@ impl ConsolidationIndex {
                 capacity_model,
                 model_covers: ctx_covers,
             };
-            let best = {
-                let mut eval = |idx: usize| self.eval_status_cached(idx, &ctx, &mut rs);
-                self.select_from_bounds(&ctx, &group_cand, &rel_bounds, seed, &mut eval, &mut stats)
-            };
+            let best =
+                self.select_from_bounds(&ctx, &group_cand, &rel_bounds, seed, &mut rs, &mut stats);
             match best {
                 Some((idx, t, rel)) if deferred => winners.push((qi, idx, t, rel)),
                 _ => {
                     results[qi] = best.map(|(idx, t, rel)| {
-                        let mut winner = self.materialize_cached(idx, load, &mut rs);
+                        let mut winner = self.materialize(idx, load, &mut rs);
                         winner.t = t;
                         winner.relative_power = rel;
                         winner
@@ -1093,14 +1060,14 @@ impl ConsolidationIndex {
 
     /// Deferred winner materialization for the no-capacity batch: visits
     /// the winning rows in ascending sample-time order while maintaining
-    /// one full particle permutation, repaired by insertion sort at each
-    /// new sample time. Insertion sort over the total order (coordinate
-    /// descending, index ascending) yields the unique sorted permutation —
-    /// exactly `order_at(sample)` — in `O(n + inversions)`, and the
-    /// inversions between consecutive sample times are just the crossings
-    /// in between, so the whole batch pays roughly one sort plus the
-    /// crossing count of the spanned interval instead of a full
-    /// `O(n log n)` re-sort per query.
+    /// one full particle permutation, sorted once at the first winner's
+    /// sample time and repaired by insertion sort at each later one.
+    /// Insertion sort over the total order (coordinate descending, index
+    /// ascending) yields the unique sorted permutation — exactly
+    /// `order_at(sample)` — in `O(n + inversions)`, and the inversions
+    /// between consecutive sample times are just the crossings in between,
+    /// so the whole batch pays one sort plus the crossing count of the
+    /// spanned interval instead of a full `O(n log n)` re-sort per load.
     fn materialize_sweep(
         &self,
         winners: &mut [(usize, usize, f64, f64)],
@@ -1115,18 +1082,18 @@ impl ConsolidationIndex {
                 .expect("sample times are finite")
                 .then(x.1.cmp(&y.1))
         });
-        let n = self.system.len();
-        let mut ord: Vec<usize> = (0..n).collect();
-        let mut coords = vec![0.0_f64; n];
-        let mut last_sample: Option<f64> = None;
+        let mut last_sample = self.statuses.sample[winners[0].1];
+        let mut ord = Vec::new();
+        self.system.order_into(last_sample, &mut ord);
+        let mut coords = vec![0.0_f64; ord.len()];
         for &(qi, row, t, rel) in winners.iter() {
             let sample = self.statuses.sample[row];
-            if last_sample != Some(sample) {
+            if sample != last_sample {
                 for (i, c) in coords.iter_mut().enumerate() {
                     *c = self.system.coordinate(i, sample);
                 }
                 insertion_repair(&mut ord, &coords);
-                last_sample = Some(sample);
+                last_sample = sample;
             }
             let k = self.statuses.k[row] as usize;
             results[qi] = Some(Consolidation {
@@ -1138,55 +1105,17 @@ impl ConsolidationIndex {
         }
     }
 
-    /// Selection core shared by the single and batched exact queries:
-    /// branch-and-bound over the per-size-class envelope candidates.
-    /// `eval` evaluates one status row to its achieved
-    /// `(t, relative_power)` — the sequential path re-sorts per call, the
-    /// batched path serves from its prefix cache, both with identical
-    /// arithmetic. Returns the winning `(row, t, relative_power)`.
-    fn select_min_power(
-        &self,
-        ctx: &QueryCtx<'_>,
-        group_cand: &[Option<(u32, f64)>],
-        rel_bounds: &mut Vec<f64>,
-        eval: &mut dyn FnMut(usize) -> Option<(f64, f64)>,
-        stats: &mut QueryStats,
-    ) -> Option<(usize, f64, f64)> {
-        let n = self.len();
-        // One pass over the envelope winners computes every size class's
-        // optimistic bound (∞ marks infeasibility: `t ≤ 0`, or `k` machines
-        // carrying more than `k` load), remembering the smallest.
-        rel_bounds.clear();
-        rel_bounds.resize(n, f64::INFINITY);
-        let mut seed: Option<(usize, f64)> = None;
-        for (k_idx, cand) in group_cand.iter().enumerate() {
-            let k = k_idx + 1;
-            if ctx.total_load > k as f64 {
-                continue;
-            }
-            let Some((_, t_bound)) = *cand else { continue };
-            let rel = ctx.terms.relative_power(k, t_bound);
-            rel_bounds[k_idx] = rel;
-            if seed.is_none_or(|(_, r)| rel < r) {
-                seed = Some((k_idx, rel));
-            }
-        }
-        self.select_from_bounds(ctx, group_cand, rel_bounds, seed, eval, stats)
-    }
-
-    /// The branch-and-bound half of [`select_min_power`], taking the
-    /// per-class bounds and the seed (smallest bound) as inputs so the
-    /// batched path can fuse their computation into its envelope-pointer
-    /// walk.
-    ///
-    /// [`select_min_power`]: ConsolidationIndex::select_min_power
+    /// The exact query's selection core: branch-and-bound over the
+    /// per-size-class envelope candidates, given each class's optimistic
+    /// bound and the seed (the class with the smallest bound). Returns the
+    /// winning `(row, t, relative_power)`.
     fn select_from_bounds(
         &self,
         ctx: &QueryCtx<'_>,
         group_cand: &[Option<(u32, f64)>],
         rel_bounds: &[f64],
         seed: Option<(usize, f64)>,
-        eval: &mut dyn FnMut(usize) -> Option<(f64, f64)>,
+        rs: &mut BatchScratch,
         stats: &mut QueryStats,
     ) -> Option<(usize, f64, f64)> {
         let statuses = &self.statuses;
@@ -1197,7 +1126,7 @@ impl ConsolidationIndex {
         let seed_row = group_cand[seed_k].expect("seed group is feasible").0 as usize;
         let mut best: Option<(usize, f64, f64)> = None;
         stats.rows_evaluated += 1;
-        if let Some((t, rel)) = eval(seed_row) {
+        if let Some((t, rel)) = self.eval_status(seed_row, ctx, rs) {
             best = Some((seed_row, t, rel));
         }
         let improves = |best: &Option<(usize, f64, f64)>, k: usize, t: f64, rel: f64| match *best {
@@ -1243,7 +1172,7 @@ impl ConsolidationIndex {
                     }
                     let row = group_cand[k_idx].expect("bounded group is feasible").0 as usize;
                     stats.rows_evaluated += 1;
-                    let Some((t, rel)) = eval(row) else {
+                    let Some((t, rel)) = self.eval_status(row, ctx, rs) else {
                         continue;
                     };
                     if improves(&best, k, t, rel) {
@@ -1270,7 +1199,7 @@ impl ConsolidationIndex {
                             continue;
                         }
                         stats.rows_evaluated += 1;
-                        let Some((t, rel)) = eval(row) else {
+                        let Some((t, rel)) = self.eval_status(row, ctx, rs) else {
                             continue;
                         };
                         if improves(&best, k, t, rel) {
@@ -1285,35 +1214,11 @@ impl ConsolidationIndex {
 
     /// Allocation-light evaluation of status `idx`: the achieved
     /// `(t, relative_power)`. Without a capacity model this is the exact
-    /// ratio; with one it mirrors `optimal_allocation`'s fast path
-    /// arithmetic operation-for-operation (so results match the
-    /// materialized solve bit-for-bit) and only falls back to the full
-    /// clamped solve when a per-machine bound is active. `None` means the
-    /// subset cannot serve the load within capacity.
+    /// ratio; with one, the ordered ON prefix comes from the batch's cache
+    /// and [`capacity_ratio`] mirrors `optimal_allocation`'s arithmetic
+    /// (so results match the materialized solve bit-for-bit). `None` means
+    /// the subset cannot serve the load within capacity.
     fn eval_status(
-        &self,
-        idx: usize,
-        ctx: &QueryCtx<'_>,
-        scratch: &mut Vec<usize>,
-    ) -> Option<(f64, f64)> {
-        let statuses = &self.statuses;
-        let k = statuses.k[idx] as usize;
-        let t = match ctx.capacity_model {
-            None => (statuses.sum_a[idx] - ctx.total_load) / statuses.sum_b[idx],
-            Some(_) => {
-                self.system.order_into(statuses.sample[idx], scratch);
-                self.capacity_ratio(ctx, &scratch[..k])?
-            }
-        };
-        Some((t, ctx.terms.relative_power(k, t)))
-    }
-
-    /// [`eval_status`] for the batched path: the ordered ON prefix comes
-    /// from the batch's cache instead of a fresh re-sort, with the same
-    /// arithmetic downstream.
-    ///
-    /// [`eval_status`]: ConsolidationIndex::eval_status
-    fn eval_status_cached(
         &self,
         idx: usize,
         ctx: &QueryCtx<'_>,
@@ -1332,8 +1237,8 @@ impl ConsolidationIndex {
     }
 
     /// Capacity-mode achievable ratio `t` of an ON prefix, via the shared
-    /// [`capacity_ratio`] so the sequential, batched and hierarchical
-    /// evaluators are bit-identical.
+    /// [`capacity_ratio`] so the flat and hierarchical evaluators are
+    /// bit-identical.
     fn capacity_ratio(&self, ctx: &QueryCtx<'_>, on: &[usize]) -> Option<f64> {
         let model = ctx
             .capacity_model
@@ -1349,8 +1254,7 @@ impl ConsolidationIndex {
     /// The comparator is the same total order as
     /// [`ParticleSystem::order_into`] (coordinate descending, index
     /// ascending), so the selected set *and* its order are exactly
-    /// `order_at(sample)[..k]` — cached entries are interchangeable with
-    /// the sequential path's full re-sort.
+    /// `order_at(sample)[..k]`.
     fn ordered_prefix<'s>(&self, idx: usize, rs: &'s mut BatchScratch) -> &'s [usize] {
         let key = idx as u32;
         if !rs.prefixes.contains_key(&key) {
@@ -1505,34 +1409,12 @@ impl ConsolidationIndex {
         )
     }
 
-    /// Expands the status at column index `idx` into a [`Consolidation`] by
-    /// re-sorting the coordinates at the row's sample time (the prefix
-    /// *set* is constant over the row's lifetime, so any time inside its
-    /// first interval reproduces it).
-    fn materialize(&self, idx: usize, total_load: f64) -> Consolidation {
-        let k = self.statuses.k[idx] as usize;
-        let mut on = self.system.order_at(self.statuses.sample[idx]);
-        on.truncate(k);
-        let t = (self.statuses.sum_a[idx] - total_load) / self.statuses.sum_b[idx];
-        Consolidation {
-            on,
-            k,
-            t,
-            relative_power: f64::NAN, // filled by callers that know the terms
-        }
-    }
-
-    /// [`materialize`] for the batched path: the ON prefix comes from the
-    /// batch's cache (identical contents, see
-    /// [`ordered_prefix`](ConsolidationIndex::ordered_prefix)).
-    ///
-    /// [`materialize`]: ConsolidationIndex::materialize
-    fn materialize_cached(
-        &self,
-        idx: usize,
-        total_load: f64,
-        rs: &mut BatchScratch,
-    ) -> Consolidation {
+    /// Expands the status at column index `idx` into a [`Consolidation`]:
+    /// the ON prefix comes from the batch's cache (see
+    /// [`ordered_prefix`](ConsolidationIndex::ordered_prefix)). The prefix
+    /// *set* is constant over the row's lifetime, so its sample time
+    /// reproduces it.
+    fn materialize(&self, idx: usize, total_load: f64, rs: &mut BatchScratch) -> Consolidation {
         let k = self.statuses.k[idx] as usize;
         let on = self.ordered_prefix(idx, rs).to_vec();
         let t = (self.statuses.sum_a[idx] - total_load) / self.statuses.sum_b[idx];
@@ -1618,6 +1500,8 @@ mod tests {
         let idx = ConsolidationIndex::build(&synthetic(10)).unwrap();
         let statuses = &idx.statuses;
         for k_idx in 0..10 {
+            // One ascending walk per class, as a query batch takes it.
+            let mut segment = 0;
             for load in [0.0, 0.3, 1.0, 2.7, 5.0, 9.5] {
                 let brute_best = statuses.groups[k_idx]
                     .rows
@@ -1627,7 +1511,7 @@ mod tests {
                         (statuses.sum_a[r] - load) * statuses.inv_sum_b[r]
                     })
                     .fold(f64::NEG_INFINITY, f64::max);
-                match statuses.envelope_best(k_idx, load) {
+                match statuses.envelope_step(k_idx, &mut segment, load) {
                     Some((_, t)) => assert!(
                         (t - brute_best).abs() <= 1e-9 * (1.0 + brute_best.abs()),
                         "k={} load={load}: envelope {t} vs scan {brute_best}",

@@ -121,9 +121,8 @@ impl IndexSnapshot {
     /// The underlying flat index, when this snapshot serves one.
     ///
     /// Engine-specific access is the *exception*: callers that only query
-    /// should use [`plan_any`](IndexSnapshot::plan_any) /
-    /// [`query_min_power`](IndexSnapshot::query_min_power) (and the
-    /// engine-agnostic [`machine_count`](IndexSnapshot::machine_count) /
+    /// should use [`query_min_power`](IndexSnapshot::query_min_power) (and
+    /// the engine-agnostic [`machine_count`](IndexSnapshot::machine_count) /
     /// [`row_count`](IndexSnapshot::row_count) for introspection), which
     /// dispatch over the engine instead of unwrap-matching this `Option`
     /// at every site. Reach for `index()`/[`hier`](IndexSnapshot::hier)
@@ -169,19 +168,6 @@ impl IndexSnapshot {
             Engine::Flat(_) => "flat",
             Engine::Hier(_) => "hier",
         }
-    }
-
-    /// Engine-agnostic min-power plan with the snapshot's own terms and no
-    /// capacity model: the one-argument entry point for callers that treat
-    /// the snapshot as an opaque planning engine and never want to match on
-    /// flat vs hierarchical.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::LoadOutOfRange`] for a negative or non-finite
-    /// load.
-    pub fn plan_any(&self, total_load: f64) -> Result<Option<Consolidation>, SolveError> {
-        self.query_min_power(total_load, None)
     }
 
     /// The Eq. 23 terms the snapshot queries with.
@@ -415,11 +401,6 @@ mod tests {
         assert!(small.row_count() > 0);
         assert!(small.index().is_some());
         assert!(small.hier().is_none());
-        // plan_any answers without matching on the engine.
-        assert_eq!(
-            small.plan_any(2.0).unwrap(),
-            small.query_min_power(2.0, None).unwrap()
-        );
         // 3 machine classes repeated past the threshold: the auto-selected
         // hierarchical engine clusters them and answers equivalently.
         let classes = [(10.0, 7.0), (2.0, 3.0), (1.0, 2.0)];
@@ -431,10 +412,6 @@ mod tests {
         assert_eq!(snap.engine_name(), "hier");
         assert_eq!(snap.machine_count(), big.len());
         assert!(snap.row_count() > 0);
-        assert_eq!(
-            snap.plan_any(2.0).unwrap(),
-            snap.query_min_power(2.0, None).unwrap()
-        );
         let hier = snap.hier().expect("hierarchical engine");
         assert_eq!(hier.cluster_count(), 3);
         let c = snap.query_min_power(2.0, None).unwrap().expect("feasible");

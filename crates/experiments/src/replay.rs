@@ -4,10 +4,10 @@
 //! step by step — thousands of RK4 sub-steps per replan interval. This
 //! module replays the same controller decisions on the fitted
 //! [`RcNetwork`] instead: between control events the network is LTI, so an
-//! exact-step [`Propagator`] crosses a whole recording interval with one
-//! matrix–vector product, and a [`PropagatorCache`] keyed on
-//! `(step, input fingerprint)` makes repeated plans (a controller revisits
-//! few distinct operating points) nearly free.
+//! exact-step [`Propagator`](coolopt_sim::Propagator) crosses a whole
+//! recording interval with one matrix–vector product, and a
+//! [`PropagatorCache`] keyed on `(step, input fingerprint)` makes repeated
+//! plans (a controller revisits few distinct operating points) nearly free.
 //!
 //! The replay deliberately trades fidelity for speed relative to the full
 //! simulation: machines switch power instantly (no boot transients), power

@@ -2,7 +2,7 @@
 //!
 //! The scenario's *declared* models (per-class `w1, w2, α, β, γ` with the
 //! zone's positional gradient) become one [`HeteroMachine`] per slot, each
-//! zone's [`ZoneCooling`] becomes a [`CoolingModel`], and the supply-share
+//! zone's [`ZoneCooling`](crate::schema::ZoneCooling) becomes a [`CoolingModel`], and the supply-share
 //! map plus the cross-zone recirculation matrix collapse into the planner's
 //! coupling matrix:
 //!

@@ -22,10 +22,14 @@
 //! [`Shed`] (surfaced as [`ServiceError::Overloaded`]) instead of growing
 //! any queue without bound. A batch that reaches
 //! [`CoalesceConfig::max_batch`] loads stops accepting joins; the next
-//! submission simply opens the successor batch.
+//! submission simply opens the successor batch. A submission larger than
+//! `max_batch` never gets here: [`Tenant::submit`] refuses it with
+//! [`ServiceError::TooManyLoads`].
 //!
 //! [`IndexSnapshot::query_batch`]: coolopt_core::IndexSnapshot::query_batch
 //! [`ServiceError::Overloaded`]: crate::ServiceError::Overloaded
+//! [`ServiceError::TooManyLoads`]: crate::ServiceError::TooManyLoads
+//! [`Tenant::submit`]: crate::Tenant::submit
 
 use crate::core::ServiceStats;
 use coolopt_core::{Consolidation, SnapshotCell, SolveError};
@@ -38,7 +42,8 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoalesceConfig {
     /// Most loads one micro-batch carries; a full batch closes to joins and
-    /// the next submission opens its successor.
+    /// the next submission opens its successor. A tenant refuses a
+    /// submission of more loads than this.
     pub max_batch: usize,
     /// Most loads allowed pending (filling + awaiting the run token) per
     /// tenant before submissions are shed with an error.

@@ -24,12 +24,16 @@
 //!   answers. Queues are bounded: past
 //!   [`CoalesceConfig::max_queued`] pending loads a submission is **shed
 //!   with an explicit error** ([`ServiceError::Overloaded`]) rather than
-//!   queued without bound.
+//!   queued without bound. A submission of more than
+//!   [`CoalesceConfig::max_batch`] loads never reaches admission: it is
+//!   refused with [`ServiceError::TooManyLoads`], which is neither shed
+//!   nor an SLO attempt.
 //! * [`ServiceCore`] — ties the two together and carries the
 //!   [`ServiceStats`] (plans served, batches, shed count, batch-size
 //!   distribution; the one global count of each, which the `stats`,
 //!   `metrics` and `query` surfaces all read), a reply-latency histogram
-//!   and `service_batch → plan_batch → reply` flight-recorder spans.
+//!   and `service_batch → service_plan_batch → service_reply`
+//!   flight-recorder spans.
 //! * The **observability plane** — every submission's latency is split
 //!   into *queue wait* (join → batch start) and *run* (batch start →
 //!   publish) and recorded into per-tenant sliding-window histograms;
@@ -99,6 +103,16 @@ pub enum ServiceError {
         /// The configured queue bound.
         limit: usize,
     },
+    /// The submission carries more loads than one micro-batch
+    /// ([`CoalesceConfig::max_batch`]) and was refused before admission.
+    TooManyLoads {
+        /// The addressed tenant.
+        tenant: String,
+        /// Loads the submission carried.
+        loads: usize,
+        /// The configured per-batch bound.
+        limit: usize,
+    },
     /// The engine rejected the query (mirrors the sequential error).
     Solve(SolveError),
     /// A scenario could not be turned into tenants.
@@ -116,6 +130,14 @@ impl fmt::Display for ServiceError {
             } => write!(
                 f,
                 "tenant {tenant:?} overloaded: {queued} loads pending (limit {limit})"
+            ),
+            ServiceError::TooManyLoads {
+                tenant,
+                loads,
+                limit,
+            } => write!(
+                f,
+                "too many loads for tenant {tenant:?}: {loads} in one request (limit {limit})"
             ),
             ServiceError::Solve(e) => write!(f, "query failed: {e}"),
             ServiceError::Scenario(reason) => write!(f, "scenario rejected: {reason}"),

@@ -1,7 +1,7 @@
 //! Per-tenant SLO engine: error budgets, multi-window burn rates, and
 //! tail-sampled exemplars.
 //!
-//! Every tenant carries an [`SloState`]. It counts *attempts* (every
+//! Every tenant carries an `SloState`. It counts *attempts* (every
 //! submitted load — the tenant's only count of its traffic) and
 //! *bad* outcomes (shed by backpressure, or served over the declared
 //! latency threshold) in a ring of rotating windows of plain relaxed

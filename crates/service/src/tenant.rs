@@ -264,9 +264,19 @@ impl Tenant {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Overloaded`] when admission sheds the burst — none
-    /// of its loads were planned.
+    /// [`ServiceError::TooManyLoads`] when the burst is larger than one
+    /// micro-batch, and [`ServiceError::Overloaded`] when admission sheds
+    /// it — either way none of its loads were planned. Only a shed burst
+    /// counts against the SLO.
     pub fn submit(&self, loads: &[f64]) -> Result<Vec<PlanResult>, ServiceError> {
+        let limit = self.coalescer.config().max_batch;
+        if loads.len() > limit {
+            return Err(ServiceError::TooManyLoads {
+                tenant: self.key.clone(),
+                loads: loads.len(),
+                limit,
+            });
+        }
         let begin = Instant::now();
         // Loads the engine would reject (negative or non-finite) bypass
         // the batch and are answered directly, so their errors are exactly

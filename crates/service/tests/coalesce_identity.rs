@@ -102,7 +102,7 @@ fn burst_is_one_batch_and_stats_account_it() {
 fn overload_sheds_with_error_and_recovers() {
     let config = ServiceConfig {
         coalesce: CoalesceConfig {
-            max_batch: 4,
+            max_batch: 8,
             max_queued: 4,
         },
         ..ServiceConfig::default()
@@ -133,6 +133,44 @@ fn overload_sheds_with_error_and_recovers() {
     let ok = core.submit("tight", &[1.0, 2.0]).unwrap();
     assert_eq!(ok.len(), 2);
     assert!(ok[0].as_ref().unwrap().is_some());
+}
+
+/// A submission larger than one micro-batch is refused before admission:
+/// nothing is shed, the SLO sees no attempt, and the tenant keeps serving.
+#[test]
+fn oversized_submission_is_refused_before_admission() {
+    let config = ServiceConfig {
+        coalesce: CoalesceConfig {
+            max_batch: 8,
+            ..CoalesceConfig::default()
+        },
+        ..ServiceConfig::default()
+    };
+    let core = ServiceCore::new(config);
+    let (pairs, terms) = small_model();
+    core.register_parts("tight", &pairs, terms).unwrap();
+
+    let burst: Vec<f64> = (0..9).map(|i| i as f64 * 0.3).collect();
+    match core.submit("tight", &burst) {
+        Err(ServiceError::TooManyLoads {
+            tenant,
+            loads,
+            limit,
+        }) => {
+            assert_eq!(tenant, "tight");
+            assert_eq!(loads, 9);
+            assert_eq!(limit, 8);
+        }
+        other => panic!("expected TooManyLoads, got {other:?}"),
+    }
+    assert_eq!(core.stats().snapshot().shed, 0);
+    let verdict = core.get("tight").expect("registered").slo_verdict();
+    assert_eq!(verdict.attempts, 0);
+    assert!(!verdict.alerting);
+
+    let served = core.submit("tight", &burst[..8]).unwrap();
+    assert_eq!(served.len(), 8);
+    assert!(served[1].as_ref().unwrap().is_some());
 }
 
 /// Unknown tenants are an explicit error.

@@ -3,7 +3,7 @@
 //! loop's handling of hostile bytes.
 
 use coolopt_scenario::presets;
-use coolopt_service::{proto, ServiceCore, TenantId};
+use coolopt_service::{proto, CoalesceConfig, ServiceCore, TenantId};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
@@ -221,6 +221,32 @@ fn serve_lines_answers_bad_bytes_and_over_long_lines_then_plans() {
     assert_eq!(replies.len(), 2, "{replies:?}");
     assert!(!decode(&replies[0]).error.unwrap().contains("longer than"));
     assert!(replies[1].contains("coolopt-service-stats-v1"));
+}
+
+#[test]
+fn a_request_larger_than_one_batch_is_refused_and_the_next_is_served() {
+    let core = ServiceCore::default();
+    core.register_scenario(&presets::testbed_rack20(0)).unwrap();
+
+    let limit = CoalesceConfig::default().max_batch;
+    let loads = vec!["1.0"; limit + 1].join(",");
+    let input = format!(
+        "{{\"tenant\":\"testbed_rack20/rack\",\"loads\":[{loads}]}}\n\
+         {{\"tenant\":\"testbed_rack20/rack\",\"load\":1.0}}\n"
+    );
+    let replies = serve(&core, input.as_bytes());
+    assert_eq!(replies.len(), 2, "{replies:?}");
+
+    let decode = |line: &str| serde_json::from_str::<proto::Response>(line).unwrap();
+    let refused = decode(&replies[0]);
+    assert!(!refused.ok && refused.results.is_empty());
+    let error = refused.error.unwrap();
+    assert!(error.contains(&format!("limit {limit}")), "{error}");
+    let planned = decode(&replies[1]);
+    assert!(planned.ok && planned.results[0].feasible, "{planned:?}");
+    assert_eq!(core.stats().snapshot().shed, 0);
+    let tenant = core.get("testbed_rack20/rack").expect("registered");
+    assert_eq!(tenant.slo_verdict().attempts, 1, "only the served plan");
 }
 
 /// One core for every property case: registering a tenant per case would

@@ -3,12 +3,43 @@
 //! kinetic-particle structure must respect its combinatorial bounds.
 
 use coolopt::core::brute::{brute_force_select, brute_force_subsets};
-use coolopt::core::{ConsolidationIndex, ParticleSystem, PowerTerms};
+use coolopt::core::{optimal_allocation_clamped, ConsolidationIndex, ParticleSystem, PowerTerms};
+use coolopt::model::{CoolingModel, PowerModel, RoomModel, ThermalModel};
+use coolopt::units::{Temperature, Watts};
 use proptest::prelude::*;
 
 /// Random well-conditioned particle pairs `(a, b)`.
 fn pairs(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(f64, f64)>> {
     prop::collection::vec((0.1f64..30.0, 0.2f64..8.0), n)
+}
+
+/// Random rooms of 3–8 machines for the capacity-aware query: per machine
+/// `(α, β, T_in)` with `γ = T_in − α·290 K`, and a `T_ac` ceiling on half
+/// of the rooms.
+fn capacity_room() -> impl Strategy<Value = RoomModel> {
+    (
+        prop::collection::vec((0.6f64..1.0, 0.3f64..0.7, 288.0f64..296.0), 3..9),
+        (30.0f64..60.0, 30.0f64..70.0),                   // w1, w2 (W)
+        (300.0f64..1500.0, 40.0f64..48.0, 60.0f64..75.0), // cf (W/K), T_SP, T_max (°C)
+        (0.0f64..1.0, 18.0f64..26.0),                     // ceiling coin, T_ac ceiling (°C)
+    )
+        .prop_map(|(machines, (w1, w2), (cf, t_sp, t_max), (coin, ceiling))| {
+            let power = PowerModel::new(Watts::new(w1), Watts::new(w2)).unwrap();
+            let thermal = machines
+                .iter()
+                .map(|&(alpha, beta, t_in)| {
+                    ThermalModel::new(alpha, beta, t_in - alpha * 290.0).unwrap()
+                })
+                .collect();
+            let cooling = CoolingModel::new(cf, Temperature::from_celsius(t_sp)).unwrap();
+            let room =
+                RoomModel::new(power, thermal, cooling, Temperature::from_celsius(t_max)).unwrap();
+            if coin < 0.5 {
+                room.with_t_ac_max(Temperature::from_celsius(ceiling))
+            } else {
+                room
+            }
+        })
 }
 
 proptest! {
@@ -159,6 +190,50 @@ proptest! {
             if let Some(l) = index.max_load(&terms, p_b, k) {
                 prop_assert!(l + 1e-9 >= last, "budget {p_b} decreased L_max");
                 last = l;
+            }
+        }
+    }
+}
+
+proptest! {
+    // 400 rooms × 6 loads: a row the capacity branch-and-bound wrongly
+    // skipped first shows up after a few hundred rooms.
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn capacity_query_matches_exhaustive_search(
+        room in capacity_room(),
+        load_fracs in prop::collection::vec(0.0f64..0.98, 6..7),
+    ) {
+        let n = room.len();
+        let loads: Vec<f64> = load_fracs.iter().map(|f| f * n as f64).collect();
+        let terms = PowerTerms::from_model(&room);
+        let w1 = room.power().w1().as_watts();
+        let index = ConsolidationIndex::build(&room.consolidation_pairs()).unwrap();
+        let batch = index.query_batch(&terms, &loads, Some(&room)).unwrap();
+        for (&load, got) in loads.iter().zip(&batch) {
+            prop_assert_eq!(got, &index.query_min_power(&terms, load, Some(&room)).unwrap());
+            // The minimum over every subset that carries the load within
+            // per-machine capacity at a positive supply ratio.
+            let best = (1u32..1 << n)
+                .filter_map(|mask| {
+                    let on: Vec<usize> = (0..n).filter(|&i| mask >> i & 1 == 1).collect();
+                    if load > on.len() as f64 {
+                        return None;
+                    }
+                    let solution = optimal_allocation_clamped(&room, &on, load).ok()?;
+                    let t = solution.t_ac.as_kelvin() / w1;
+                    (t > 0.0).then(|| terms.relative_power(on.len(), t))
+                })
+                .reduce(f64::min);
+            match (got, best) {
+                (Some(g), Some(best)) => prop_assert!(
+                    (g.relative_power - best).abs() <= 1e-6 * (1.0 + best.abs()),
+                    "load {load}: index {:?} at {} vs exhaustive {best}",
+                    g.on, g.relative_power
+                ),
+                (None, None) => {}
+                (g, best) => prop_assert!(false, "load {load}: feasibility split {g:?} vs {best:?}"),
             }
         }
     }

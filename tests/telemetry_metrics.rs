@@ -2,7 +2,7 @@
 //! driving the consolidation index advances the registry's counters and
 //! latency histograms, and both exporters carry the result.
 
-use coolopt::core::{ConsolidationIndex, PowerTerms};
+use coolopt::core::{ConsolidationIndex, HierConfig, HierIndex, PowerTerms};
 use coolopt::telemetry;
 
 fn pairs() -> Vec<(f64, f64)> {
@@ -18,7 +18,6 @@ fn index_pipeline_advances_counters_and_histograms() {
     let builds = telemetry::counter("coolopt_index_builds_total").get();
     let queries = telemetry::counter("coolopt_index_queries_total").get();
     let query_obs = telemetry::histogram("coolopt_index_query_seconds").count();
-    let batch_obs = telemetry::histogram("coolopt_index_batch_seconds").count();
 
     let index = ConsolidationIndex::build(&pairs()).expect("valid pairs");
     let terms = terms();
@@ -31,8 +30,31 @@ fn index_pipeline_advances_counters_and_histograms() {
     assert!(telemetry::counter("coolopt_index_builds_total").get() > builds);
     // A batch of 3 counts as 3 queries; singles add 3 more.
     assert!(telemetry::counter("coolopt_index_queries_total").get() >= queries + 6);
-    assert!(telemetry::histogram("coolopt_index_query_seconds").count() >= query_obs + 3);
-    assert!(telemetry::histogram("coolopt_index_batch_seconds").count() > batch_obs);
+    // One latency observation per call: 3 singles and the batch.
+    assert!(telemetry::histogram("coolopt_index_query_seconds").count() >= query_obs + 4);
+}
+
+#[test]
+fn hier_batch_records_one_latency_per_distinct_load() {
+    // No other test in this binary touches the hierarchical engine, so its
+    // counter and histogram move only here and can be compared exactly.
+    let index = HierIndex::build(&pairs(), HierConfig::exact()).expect("valid pairs");
+    let queries = telemetry::counter("coolopt_hier_queries_total").get();
+    let query_obs = telemetry::histogram("coolopt_hier_query_seconds").count();
+
+    let batch = index
+        .query_batch(&terms(), &[0.5, 1.5, 0.5, 2.5], None)
+        .unwrap();
+    assert_eq!(batch.len(), 4);
+
+    assert_eq!(
+        telemetry::counter("coolopt_hier_queries_total").get(),
+        queries + 3
+    );
+    assert_eq!(
+        telemetry::histogram("coolopt_hier_query_seconds").count(),
+        query_obs + 3
+    );
 }
 
 #[test]
