@@ -1,7 +1,7 @@
 //! Emits `BENCH_index.json`: a small, stable set of consolidation-index
 //! numbers (build time vs n, warm single-query latency, batched per-query
-//! latency) so the perf trajectory is tracked across PRs by CI's
-//! bench-smoke job without paying for full criterion runs.
+//! latency, with and without the capacity model) so the perf trajectory is
+//! tracked across PRs by CI's bench-smoke job.
 //!
 //! Usage: `cargo run --release -p coolopt-bench --bin bench_index -- [--json] [--quiet]`
 //! The output path defaults to `BENCH_index.json` at the repository root
@@ -14,13 +14,23 @@
 //! windowed Dinkelbach oracle and pinned under the index's own declared
 //! certificate.
 //!
+//! The `paper` section carries the paper's §III-B scaling claims as
+//! per-call microseconds against `n`: Algorithm 2's online query, the
+//! exponential brute force it replaces, and the linear closed form
+//! (Eqs. 21–22). Algorithm 1's build is the `build` section: `dense_ms` is
+//! the paper-literal construction, `incremental_ms` the one the planner
+//! runs. CI checks each claim's growth ratio.
+//!
 //! Progress goes to stderr as structured events (`--json` renders them as
 //! JSON lines, `--quiet` keeps only warnings). The report gains a
 //! `telemetry` section: the global metrics snapshot (counters, gauges,
 //! latency histograms) accumulated while benchmarking.
 
 use coolopt_bench::{clustered_fleet, oracle_min_power, synthetic_model, synthetic_pairs};
-use coolopt_core::{ConsolidationIndex, HierConfig, HierIndex, IndexBuilder, PowerTerms};
+use coolopt_core::{
+    brute::brute_force_subsets, optimal_allocation, ConsolidationIndex, HierConfig, HierIndex,
+    IndexBuilder, PowerTerms,
+};
 use coolopt_telemetry::{self as telemetry, SinkMode};
 use serde::Serialize;
 use std::time::Instant;
@@ -34,6 +44,10 @@ const BATCH: usize = 64;
 const HIER_SIZES: [usize; 2] = [10_000, 100_000];
 const HIER_CLASSES: usize = 24;
 const HIER_LOAD_FRACTIONS: [f64; 3] = [0.2, 0.5, 0.8];
+// Room sizes of the `paper` rows.
+const ALGORITHM2_SIZES: [usize; 5] = [10, 20, 40, 80, 160];
+const BRUTE_FORCE_SIZES: [usize; 3] = [10, 14, 18];
+const CLOSED_FORM_SIZES: [usize; 3] = [20, 200, 2000];
 
 #[derive(Serialize)]
 struct BuildRow {
@@ -49,6 +63,28 @@ struct QueryReport {
     warm_single_us_per_query: f64,
     batch_us_per_query: f64,
     speedup: f64,
+    /// The same loads as 64 batches of one, each candidate solved under
+    /// per-machine capacity (the mode of method #8).
+    capacity_single_ms_per_query: f64,
+    /// The same loads in one capacity-checked `query_batch` call.
+    capacity_batch_ms_per_query: f64,
+}
+
+/// One timed size of a `paper` row: microseconds per call at `n`.
+#[derive(Serialize)]
+struct PaperRow {
+    n: usize,
+    us: f64,
+}
+
+#[derive(Serialize)]
+struct PaperReport {
+    /// `ConsolidationIndex::query_online` at load 0.4·n.
+    algorithm2_query: Vec<PaperRow>,
+    /// `brute_force_subsets` over all `2ⁿ` subsets at load 0.4·n.
+    brute_force: Vec<PaperRow>,
+    /// `optimal_allocation` with every machine on at load 0.5·n.
+    closed_form: Vec<PaperRow>,
 }
 
 #[derive(Serialize)]
@@ -75,6 +111,7 @@ struct Report {
     metrics_enabled: bool,
     build: Vec<BuildRow>,
     query: QueryReport,
+    paper: PaperReport,
     hier: Vec<HierReportRow>,
     status_rows_at_query_n: usize,
     orders_at_query_n: usize,
@@ -105,6 +142,22 @@ fn median_ms<F: FnMut()>(mut f: F) -> f64 {
         .collect();
     samples.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
     samples[1]
+}
+
+/// Median-of-3 microseconds per call of `f`, each sample timing `reps`
+/// calls so it sits well above timer resolution and scheduler noise.
+fn median_us_per_call<F: FnMut()>(reps: usize, mut f: F) -> f64 {
+    median_ms(|| {
+        for _ in 0..reps {
+            f();
+        }
+    }) * 1e3
+        / reps as f64
+}
+
+/// One `paper` row: `time(n)` microseconds per call at each size.
+fn paper_rows(sizes: &[usize], mut time: impl FnMut(usize) -> f64) -> Vec<PaperRow> {
+    sizes.iter().map(|&n| PaperRow { n, us: time(n) }).collect()
 }
 
 fn main() {
@@ -161,27 +214,72 @@ fn main() {
         .query_batch(&terms, &loads, None)
         .expect("valid loads");
 
-    // Each timed sample repeats the whole 64-query workload so one sample
-    // is well above timer resolution and scheduler noise.
+    // Each timed sample repeats the whole 64-query workload.
     const QUERY_REPS: usize = 20;
-    let single_us = median_ms(|| {
-        for _ in 0..QUERY_REPS {
-            for &l in &loads {
-                std::hint::black_box(index.query_min_power(&terms, l, None).expect("valid load"));
-            }
+    let single_us = median_us_per_call(QUERY_REPS, || {
+        for &l in &loads {
+            std::hint::black_box(index.query_min_power(&terms, l, None).expect("valid load"));
         }
-    }) * 1e3
-        / (QUERY_REPS * BATCH) as f64;
-    let batch_us = median_ms(|| {
-        for _ in 0..QUERY_REPS {
+    }) / BATCH as f64;
+    let batch_us = median_us_per_call(QUERY_REPS, || {
+        std::hint::black_box(
+            index
+                .query_batch(&terms, &loads, None)
+                .expect("valid loads"),
+        );
+    }) / BATCH as f64;
+    // Capacity mode solves every visited candidate's clamped allocation,
+    // milliseconds per query: one pass over the workload per sample.
+    telemetry::info!("bench", "timing capacity-mode queries", n = QUERY_ROOM);
+    let capacity_single_ms = median_ms(|| {
+        for &l in &loads {
             std::hint::black_box(
                 index
-                    .query_batch(&terms, &loads, None)
-                    .expect("valid loads"),
+                    .query_min_power(&terms, l, Some(&model))
+                    .expect("valid load"),
             );
         }
-    }) * 1e3
-        / (QUERY_REPS * BATCH) as f64;
+    }) / BATCH as f64;
+    let capacity_batch_ms = median_ms(|| {
+        std::hint::black_box(
+            index
+                .query_batch(&terms, &loads, Some(&model))
+                .expect("valid loads"),
+        );
+    }) / BATCH as f64;
+
+    // The paper's §III-B scaling rows, on the synthetic rooms above.
+    telemetry::info!("bench", "timing the paper's scaling rows");
+    let algorithm2_query = paper_rows(&ALGORITHM2_SIZES, |n| {
+        let index = ConsolidationIndex::build(&synthetic_pairs(n, 7)).expect("valid pairs");
+        let load = 0.4 * n as f64;
+        median_us_per_call(10_000, || {
+            std::hint::black_box(index.query_online(std::hint::black_box(load)));
+        })
+    });
+    let brute_terms = PowerTerms::unbounded(40.0, 900.0);
+    let brute_force = paper_rows(&BRUTE_FORCE_SIZES, |n| {
+        let pairs = synthetic_pairs(n, 7);
+        let load = 0.4 * n as f64;
+        // 2^(18−n) calls per sample: about 2^18 subsets at every size.
+        median_us_per_call(1 << (18 - n), || {
+            std::hint::black_box(
+                brute_force_subsets(std::hint::black_box(&pairs), &brute_terms, load)
+                    .expect("brute force runs"),
+            );
+        })
+    });
+    let closed_form = paper_rows(&CLOSED_FORM_SIZES, |n| {
+        let model = synthetic_model(n, 7);
+        let on: Vec<usize> = (0..n).collect();
+        let load = 0.5 * n as f64;
+        median_us_per_call(2_000_000 / n, || {
+            std::hint::black_box(
+                optimal_allocation(std::hint::black_box(&model), &on, load)
+                    .expect("closed form solves"),
+            );
+        })
+    });
 
     // Hierarchical index at fleet scale: build cost, warm query latency,
     // and measured approximation error vs the Dinkelbach oracle.
@@ -237,7 +335,7 @@ fn main() {
     }
 
     let report = Report {
-        schema: "bench-index-v2".to_string(),
+        schema: "bench-index-v3".to_string(),
         metrics_enabled: telemetry::metrics_enabled(),
         build: build_rows,
         query: QueryReport {
@@ -246,6 +344,13 @@ fn main() {
             warm_single_us_per_query: single_us,
             batch_us_per_query: batch_us,
             speedup: single_us / batch_us,
+            capacity_single_ms_per_query: capacity_single_ms,
+            capacity_batch_ms_per_query: capacity_batch_ms,
+        },
+        paper: PaperReport {
+            algorithm2_query,
+            brute_force,
+            closed_form,
         },
         hier: hier_rows,
         status_rows_at_query_n: index.status_count(),
@@ -257,13 +362,6 @@ fn main() {
     // plain `cargo run` refreshes, regardless of the invocation directory.
     let out = std::env::var("BENCH_INDEX_OUT")
         .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_index.json").into());
-    // A rewrite refreshes the keys this binary produces but never drops
-    // top-level keys it does not know about (annotations, newer-schema
-    // sections) from the committed report.
-    let rendered = match std::fs::read_to_string(&out) {
-        Ok(previous) => coolopt_bench::merge_unknown_top_level(&rendered, &previous),
-        Err(_) => rendered,
-    };
     std::fs::write(&out, &rendered).expect("write BENCH_index.json");
     println!("{rendered}");
     telemetry::info!("bench", "wrote report", path = out);

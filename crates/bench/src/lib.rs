@@ -1,13 +1,6 @@
-//! Shared fixtures for the CoolOpt benchmark suite.
-//!
-//! The benches themselves live in `benches/`:
-//!
-//! * `figures` — regenerating the paper's figures (profiling staircases,
-//!   method runs, figure slicing);
-//! * `algorithms` — the paper's §III machinery: Algorithm 1 build cost,
-//!   Algorithm 2 query cost, the exact query, brute force, the closed form;
-//! * `simulator` — the substrate: room stepping, settling, regression,
-//!   workload processing.
+//! Shared fixtures for `bench_index`, the binary that writes the guarded
+//! `BENCH_index.json` (flat-index build and query latencies, the paper's
+//! §III-B scaling rows, and the hierarchical index at fleet scale).
 
 #![warn(missing_docs)]
 
@@ -37,8 +30,8 @@ pub fn synthetic_model(n: usize, seed: u64) -> RoomModel {
         .with_t_ac_max(Temperature::from_celsius(21.0))
 }
 
-/// The consolidation pairs of [`synthetic_model`], for algorithm benches
-/// that do not need the full model.
+/// The consolidation pairs of [`synthetic_model`], for the rows that do
+/// not need the full model.
 pub fn synthetic_pairs(n: usize, seed: u64) -> Vec<(f64, f64)> {
     synthetic_model(n, seed).consolidation_pairs()
 }
@@ -141,88 +134,9 @@ pub fn oracle_min_power(
     best
 }
 
-/// Merges top-level keys of a previously written JSON report that the
-/// fresh `rendered` report does not produce (annotations added by other
-/// tools, keys from a newer schema running an older binary) into the
-/// fresh report, appended after the produced keys in their original
-/// order. Produced keys always win with their fresh values. When either
-/// side fails to parse as a JSON object, or nothing needs preserving,
-/// `rendered` is returned byte-for-byte.
-pub fn merge_unknown_top_level(rendered: &str, previous: &str) -> String {
-    let Ok(serde::Value::Object(mut fresh)) = serde_json::from_str::<serde::Value>(rendered) else {
-        return rendered.to_string();
-    };
-    let Ok(serde::Value::Object(old)) = serde_json::from_str::<serde::Value>(previous) else {
-        return rendered.to_string();
-    };
-    let mut appended = false;
-    for (key, value) in old {
-        if !fresh.iter().any(|(k, _)| *k == key) {
-            fresh.push((key, value));
-            appended = true;
-        }
-    }
-    if !appended {
-        // Nothing to preserve: keep the fresh rendering untouched (it may
-        // carry hand-spliced sections the Value round-trip would reformat).
-        return rendered.to_string();
-    }
-    serde_json::to_string_pretty(&serde::Value::Object(fresh)).expect("merged report serializes")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn unknown_top_level_keys_survive_a_report_rewrite() {
-        let previous = r#"{
-  "schema": "bench-index-v2",
-  "query": {"n": 200},
-  "annotation": "hand-added note",
-  "future_section": [1, 2, 3]
-}"#;
-        let rendered = r#"{
-  "schema": "bench-index-v3",
-  "query": {"n": 400}
-}"#;
-        let merged = merge_unknown_top_level(rendered, previous);
-        let serde::Value::Object(fields) =
-            serde_json::from_str::<serde::Value>(&merged).expect("merged output parses")
-        else {
-            panic!("merged output is not an object")
-        };
-        // Fresh keys keep their fresh values...
-        assert_eq!(
-            serde::get_field(&fields, "schema").and_then(|v| v.as_str()),
-            Some("bench-index-v3")
-        );
-        let query = serde::get_field(&fields, "query")
-            .unwrap()
-            .as_object()
-            .unwrap();
-        assert_eq!(
-            serde::get_field(query, "n").and_then(|v| v.as_u64()),
-            Some(400)
-        );
-        // ...and unknown keys ride along, in order, after them.
-        assert_eq!(
-            serde::get_field(&fields, "annotation").and_then(|v| v.as_str()),
-            Some("hand-added note")
-        );
-        assert_eq!(
-            serde::get_field(&fields, "future_section")
-                .and_then(|v| v.as_array())
-                .map(<[serde::Value]>::len),
-            Some(3)
-        );
-        assert_eq!(fields.last().unwrap().0, "future_section");
-
-        // No unknown keys → byte-identical passthrough of the rendering.
-        assert_eq!(merge_unknown_top_level(rendered, "{}"), rendered);
-        // Unparseable previous content never corrupts the fresh report.
-        assert_eq!(merge_unknown_top_level(rendered, "not json"), rendered);
-    }
 
     #[test]
     fn fixtures_are_deterministic_and_sane() {

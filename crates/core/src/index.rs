@@ -887,8 +887,8 @@ impl ConsolidationIndex {
 
     /// The paper's Algorithm 2: binary-search `allStatus` for the first
     /// status whose `Lmax` exceeds `total_load` and return its machine
-    /// prefix, in `O(log n)` (plus `O(n log n)` to reconstruct the answer's
-    /// order at its sample time).
+    /// prefix, in `O(log n)` (plus `O(n + k log k)` to rebuild the answer's
+    /// ON set in order at its sample time).
     ///
     /// Returns `None` when no status can serve the load. The returned
     /// [`Consolidation::relative_power`] is `NaN`: Algorithm 2 never

@@ -13,19 +13,18 @@
 //! simulation: machines switch power instantly (no boot transients), power
 //! follows the fitted models (no sensor noise), and control events take
 //! effect at recording-step boundaries. That makes it the right engine for
-//! wide design sweeps and for the transient benchmarks, with the numeric
-//! substrate kept as the oracle.
+//! wide design sweeps, with the numeric substrate kept as the oracle.
 //!
-//! [`ReplayEngine::Euler`] and [`ReplayEngine::Rk4`] run the *same* replay
-//! on the same [`RcNetwork`] through generic integrators — the
-//! apples-to-apples baseline the exact-step engine is benchmarked against.
+//! [`ReplayEngine::Rk4`] runs the *same* replay on the same [`RcNetwork`]
+//! through a generic small-step integrator — the reference the exact-step
+//! engine is tested against.
 
 use crate::runtime::TracePoint;
 use coolopt_alloc::{AllocationPlan, Method, Planner, PolicyError};
 use coolopt_model::{RcNetwork, RcParams, RoomModel};
 use coolopt_sim::{
-    ForwardEuler, Integrator, LinearDynamics, LinearOde, PropagatorCache, Rk4, SimScratch,
-    SoaRecorder, TimeSeries,
+    Integrator, LinearDynamics, LinearOde, PropagatorCache, Rk4, SimScratch, SoaRecorder,
+    TimeSeries,
 };
 use coolopt_telemetry as telemetry;
 use coolopt_units::{Joules, Seconds, TempDelta, Temperature, Watts};
@@ -37,11 +36,7 @@ pub enum ReplayEngine {
     /// Exact-step propagator: one matrix–vector product per recording step,
     /// memoized per `(step, input)` pair. The fast path.
     Exact,
-    /// Forward-Euler fallback at the given sub-step (accuracy oracle /
-    /// benchmark baseline).
-    Euler(Seconds),
-    /// Classic RK4 fallback at the given sub-step (accuracy oracle /
-    /// benchmark baseline).
+    /// Classic RK4 fallback at the given sub-step (accuracy oracle).
     Rk4(Seconds),
 }
 
@@ -237,17 +232,6 @@ pub fn replay_trace_with(
                 let prop =
                     cache.get_or_build(&net, Seconds::new(step_len), net.input_fingerprint());
                 prop.step(&mut state, &mut step_scratch);
-            }
-            ReplayEngine::Euler(dt) => {
-                sub_step(
-                    &ForwardEuler,
-                    &ode,
-                    now,
-                    step_len,
-                    dt,
-                    &mut state,
-                    &mut sim_scratch,
-                );
             }
             ReplayEngine::Rk4(dt) => {
                 sub_step(

@@ -14,8 +14,10 @@
 //!     > results/ablation_seed42.txt
 //! ```
 //!
-//! The timing-bearing `telemetry_*.json` and `trace_*.json` are not pinned:
-//! the runs here write theirs to a temporary directory.
+//! The same runs also write the timing-bearing `telemetry_*.json`,
+//! `trace_*.json` and `dashboard_*.html` into `results/`; those are not
+//! committed (`.gitignore` lists them), and the runs here write theirs to
+//! a temporary directory.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;

@@ -355,7 +355,7 @@ mod tests {
 
     #[test]
     fn propagator_matches_tiny_step_rk4_on_the_20_machine_preset() {
-        // Acceptance criterion: exact-step state after an event-free
+        // Acceptance bar: exact-step state after an event-free
         // interval within 1e-6 K of tiny-step RK4.
         let net = loaded_network(20);
         let sys = LinearOde::new(&net);

@@ -8,7 +8,8 @@
 //!
 //! [`IndexSnapshot::query_min_power`]: coolopt_core::IndexSnapshot::query_min_power
 
-use coolopt_core::{IndexSnapshot, PowerTerms};
+use coolopt_core::{snapshot::HIER_AUTO_THRESHOLD, IndexSnapshot, PowerTerms};
+use coolopt_scenario::presets;
 use coolopt_service::{CoalesceConfig, ServiceConfig, ServiceCore, ServiceError};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -94,6 +95,66 @@ fn burst_is_one_batch_and_stats_account_it() {
     assert!((stats.mean_batch_size() - 16.0).abs() < 1e-12);
     // One batch of 16 → bucket log2(16) = 4.
     assert_eq!(stats.batch_size_log2[4], 1);
+}
+
+/// Both engines serve through the coalescer at once: a 20-machine rack
+/// (flat engine) takes 64-load bursts while a fleet past
+/// [`HIER_AUTO_THRESHOLD`] (hier engine) takes single loads, from
+/// concurrent threads. Every answer equals the tenant's sequential answer
+/// and nothing is shed.
+#[test]
+fn flat_and_hier_tenants_serve_concurrently_without_shedding() {
+    const ROUNDS: usize = 4;
+
+    let core = ServiceCore::default();
+    let rack = core
+        .register_scenario(&presets::testbed_rack20(0))
+        .unwrap()
+        .remove(0);
+    let fleet = core
+        .register_scenario(&presets::large_fleet(24, 4096, 0))
+        .unwrap()
+        .remove(0);
+    assert!(fleet.snapshot().unwrap().machine_count() > HIER_AUTO_THRESHOLD);
+
+    let rack_loads: Vec<f64> = (0..64).map(|i| 0.3 * i as f64 + 0.1).collect();
+    let fleet_loads: Vec<f64> = (1..=ROUNDS).map(|i| 800.0 * i as f64).collect();
+    let rack_expected: Vec<_> = rack_loads
+        .iter()
+        .map(|&l| rack.plan_sequential(l))
+        .collect();
+    let fleet_expected: Vec<_> = fleet_loads
+        .iter()
+        .map(|&l| fleet.plan_sequential(l))
+        .collect();
+    assert!(fleet_expected.iter().all(|r| matches!(r, Ok(Some(_)))));
+
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                for _ in 0..ROUNDS {
+                    assert_eq!(rack.submit(&rack_loads).unwrap(), rack_expected);
+                }
+            });
+            scope.spawn(|| {
+                for (&load, expected) in fleet_loads.iter().zip(&fleet_expected) {
+                    assert_eq!(&fleet.submit_one(load).unwrap(), expected);
+                }
+            });
+        }
+    });
+
+    let stats = core.stats().snapshot();
+    assert_eq!(stats.plans, (2 * ROUNDS * (rack_loads.len() + 1)) as u64);
+    assert_eq!(stats.shed, 0);
+    // Rows are sorted by key: the fleet, then the rack.
+    let engines: Vec<String> = core
+        .stats_doc()
+        .tenants
+        .into_iter()
+        .map(|row| row.engine)
+        .collect();
+    assert_eq!(engines, ["hier", "flat"]);
 }
 
 /// Backpressure sheds with an explicit error — never by silent truncation

@@ -32,9 +32,10 @@
 //! VM, release, interleaved runs): the full `reproduce` binary took a
 //! median 0.352 s instrumented vs 0.359 s uninstrumented over 14 pairs,
 //! with interquartile ranges of 24–32 % of the median, and the in-process
-//! `bench_service` rounds gave the uninstrumented build a median +3.4 %
-//! plans/s over 18 pairs (spread −15 % … +38 %), under 1 µs of a ≈28 µs
-//! submission. Over TCP a request spends ≈40 ms waiting on the reply
+//! service bench of the time (since deleted; perfbench's `service.*`
+//! metrics cover that layer now) gave the uninstrumented build a median
+//! +3.4 % plans/s over 18 pairs (spread −15 % … +38 %), under 1 µs of a
+//! ≈28 µs submission. Over TCP a request spends ≈40 ms waiting on the reply
 //! write against ≈0.13 ms of request handling. [`metrics_enabled`] is
 //! therefore always `true`, and the `enabled` feature selects nothing.
 //!
