@@ -30,7 +30,8 @@ use coolopt_experiments::ablations::{
 use coolopt_experiments::harness::scenario_planner;
 use coolopt_experiments::runtime::{run_load_trace_with, sinusoidal_trace, RuntimeOptions};
 use coolopt_experiments::{
-    render_figure, HealthSection, RunReport, ScenarioSection, SweepOptions, Testbed, TraceSection,
+    emit_dashboard, emit_report, render_figure, HealthSection, RunReport, ScenarioSection,
+    SweepOptions, Testbed, TraceSection,
 };
 use coolopt_scenario::Scenario;
 use coolopt_telemetry::{self as telemetry, SinkMode};
@@ -292,40 +293,10 @@ fn main() {
         health: report_health,
         multizone: None,
     };
-    let path = report
-        .write_to(&results_dir)
-        .expect("results dir is writable");
-    telemetry::info!(
-        "ablation",
-        "wrote run report",
-        path = path.display().to_string()
-    );
     let mut charts = vec![coolopt_experiments::energy_chart(&dashboard_segments)];
     charts.extend(coolopt_experiments::plant_charts("trace"));
-    let dashboard_path = coolopt_experiments::write_dashboard(
-        &results_dir,
-        &report.name,
-        "coolopt ablation",
-        &format!("{machines} machines, seed {seed} — holistic #8 over a 4 h diurnal trace"),
-        &charts,
-    )
-    .expect("results dir is writable");
-    telemetry::info!(
-        "ablation",
-        "wrote energy dashboard",
-        path = dashboard_path.display().to_string()
-    );
-    let trace_path = results_dir.join(format!("trace_{}.json", report.name));
-    std::fs::write(&trace_path, telemetry::flight_snapshot().to_chrome_json())
-        .expect("results dir is writable");
-    telemetry::info!(
-        "ablation",
-        "wrote chrome trace",
-        path = trace_path.display().to_string()
-    );
-    if json {
-        println!("{}", report.to_json());
-    } else if !telemetry::events_quiet() {
-        println!("{}", report.render_table());
-    }
+    let subtitle =
+        format!("{machines} machines, seed {seed} — holistic #8 over a 4 h diurnal trace");
+    emit_dashboard(&report.name, &results_dir, &subtitle, charts, "ablation");
+    emit_report(&report, &results_dir, json, "ablation");
 }

@@ -28,9 +28,10 @@ use coolopt_alloc::{Method, Strategy};
 use coolopt_experiments::harness::scenario_planner;
 use coolopt_experiments::runtime::{run_load_trace_with, sinusoidal_trace, RuntimeOptions};
 use coolopt_experiments::{
-    figures, render_figure, render_multizone, replay_trace_with, run_multizone, run_sweep,
-    savings_summary, to_csv, FigureData, HealthSection, MultiZoneOptions, MultiZoneSection,
-    ReplayOptions, ReplaySection, RunReport, ScenarioSection, SweepOptions, Testbed, TraceSection,
+    emit_dashboard, emit_report, figures, plant_charts, render_figure, render_multizone,
+    replay_trace_with, run_multizone, run_sweep, savings_summary, to_csv, FigureData,
+    HealthSection, MultiZoneOptions, MultiZoneSection, ReplayOptions, ReplaySection, RunReport,
+    ScenarioSection, SweepOptions, Testbed, TraceSection,
 };
 use coolopt_scenario::Scenario;
 use coolopt_sim::HealthConfig;
@@ -127,7 +128,7 @@ fn main() {
             &report.name,
             &results_dir,
             &subtitle,
-            coolopt_experiments::plant_charts("multizone"),
+            plant_charts("multizone"),
             "reproduce",
         );
         emit_report(&report, &results_dir, json, "reproduce");
@@ -372,60 +373,11 @@ fn main() {
         multizone: None,
     };
     let mut charts = vec![coolopt_experiments::energy_chart(&trace_outcome.segments)];
-    charts.extend(coolopt_experiments::plant_charts("trace"));
+    charts.extend(plant_charts("trace"));
     let subtitle = format!(
         "{machines} machines, seed {seed} — online replanning over a {:.1} h diurnal trace",
         duration.as_secs_f64() / 3600.0
     );
     emit_dashboard(&report.name, &results_dir, &subtitle, charts, "reproduce");
     emit_report(&report, &results_dir, json, "reproduce");
-}
-
-/// Writes the self-contained HTML energy dashboard next to the run report.
-fn emit_dashboard(
-    name: &str,
-    results_dir: &std::path::Path,
-    subtitle: &str,
-    charts: Vec<coolopt_telemetry::Chart>,
-    source: &str,
-) {
-    let path = coolopt_experiments::write_dashboard(
-        results_dir,
-        name,
-        &format!("coolopt {name}"),
-        subtitle,
-        &charts,
-    )
-    .expect("results dir is writable");
-    telemetry::info!(
-        source,
-        "wrote energy dashboard",
-        path = path.display().to_string()
-    );
-}
-
-/// Writes the run report and the Chrome-trace artifact captured by the
-/// flight recorder, and prints the stdout document/table.
-fn emit_report(report: &RunReport, results_dir: &std::path::Path, json: bool, source: &str) {
-    let path = report
-        .write_to(results_dir)
-        .expect("results dir is writable");
-    telemetry::info!(
-        source,
-        "wrote run report",
-        path = path.display().to_string()
-    );
-    let trace_path = results_dir.join(format!("trace_{}.json", report.name));
-    std::fs::write(&trace_path, telemetry::flight_snapshot().to_chrome_json())
-        .expect("results dir is writable");
-    telemetry::info!(
-        source,
-        "wrote chrome trace",
-        path = trace_path.display().to_string()
-    );
-    if json {
-        println!("{}", report.to_json());
-    } else if !telemetry::events_quiet() {
-        println!("{}", report.render_table());
-    }
 }

@@ -99,6 +99,34 @@ pub fn write_dashboard(
     Ok(path)
 }
 
+/// Writes the dashboard `DIR/dashboard_<name>.html` (titled
+/// `coolopt <name>`) and logs its path under the event target `source`.
+///
+/// # Panics
+///
+/// Panics if `results_dir` is not writable.
+pub fn emit_dashboard(
+    name: &str,
+    results_dir: &Path,
+    subtitle: &str,
+    charts: Vec<Chart>,
+    source: &str,
+) {
+    let path = write_dashboard(
+        results_dir,
+        name,
+        &format!("coolopt {name}"),
+        subtitle,
+        &charts,
+    )
+    .expect("results dir is writable");
+    telemetry::info!(
+        source,
+        "wrote energy dashboard",
+        path = path.display().to_string()
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -38,7 +38,7 @@ pub mod runtime;
 pub mod savings;
 pub mod testbed;
 
-pub use dashboard::{energy_chart, plant_charts, write_dashboard};
+pub use dashboard::{emit_dashboard, energy_chart, plant_charts, write_dashboard};
 pub use figures::{FigureData, Series};
 pub use harness::{
     run_method, run_method_with, run_sweep, scenario_planner, MethodRun, Sweep, SweepOptions,
@@ -50,7 +50,7 @@ pub use multizone::{
 pub use replay::{replay_trace, replay_trace_with, ReplayEngine, ReplayOptions, ReplayOutcome};
 pub use report::{render_figure, to_csv};
 pub use run_report::{
-    export_flight_dropped, HealthSection, MultiZoneSection, ReplaySection, RunReport,
+    emit_report, export_flight_dropped, HealthSection, MultiZoneSection, ReplaySection, RunReport,
     ScenarioSection, TraceSection, VariantSection, RUN_REPORT_SCHEMA,
 };
 pub use savings::{savings_summary, SavingsSummary};

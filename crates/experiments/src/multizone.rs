@@ -4,7 +4,7 @@
 //! The planner side works purely on the scenario's **declared** models
 //! ([`coolopt_scenario::zone_system`] → [`coolopt_core::solve_zones`]); the
 //! plant side materializes the same document into a
-//! [`coolopt_room::MultiZoneRoom`] and simulates both plans to steady state.
+//! [`coolopt_room::MachineRoom`] and simulates both plans to steady state.
 //! The PR 5 model-health watchdog closes the loop: settled residuals between
 //! the declared per-machine prediction and the simulated CPU temperatures
 //! feed the drift detector, and the distance to the policy's `T_max` feeds
@@ -12,8 +12,8 @@
 //! own physics trips the watchdog here, before anyone trusts its plans.
 
 use coolopt_core::{solve_zones, solve_zones_uniform, SolveError, ZoneSolution, ZoneSystem};
+use coolopt_room::materialize;
 use coolopt_room::room::InvalidRoom;
-use coolopt_room::{materialize, MaterializedRoom, MultiZoneRoom};
 use coolopt_scenario::{zone_system, Scenario, ScenarioError};
 use coolopt_sim::{HealthConfig, HealthReport, ModelHealthMonitor};
 use coolopt_telemetry as telemetry;
@@ -199,9 +199,7 @@ fn run_variant(
     options: &MultiZoneOptions,
     watch: bool,
 ) -> Result<VariantOutcome, MultiZoneError> {
-    let MaterializedRoom::Multi(mut room) = materialize(scenario)? else {
-        return Err(MultiZoneError::SingleZone);
-    };
+    let mut room = materialize(scenario)?;
     room.force_all_on();
     let flat_loads: Vec<f64> = plan.loads.iter().flatten().copied().collect();
     room.set_loads(&flat_loads)
@@ -338,9 +336,6 @@ pub fn render_multizone(scenario: &Scenario, outcome: &MultiZoneOutcome) -> Stri
     out
 }
 
-/// Re-exported so the binaries can name the room type in messages.
-pub type Plant = MultiZoneRoom;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,9 +384,7 @@ mod tests {
         // Mean per-machine (T_cpu K, P W) and per-CRAC electrical power at a
         // settled operating point.
         let probe = |t0: f64, t1: f64, load: f64| -> (Vec<f64>, Vec<f64>, [f64; 2]) {
-            let MaterializedRoom::Multi(mut room) = materialize(&scenario).unwrap() else {
-                unreachable!("preset is multi-zone");
-            };
+            let mut room = materialize(&scenario).unwrap();
             room.force_all_on();
             room.set_loads(&vec![load; n]).unwrap();
             room.set_fixed_supplies(&[
@@ -531,9 +524,7 @@ mod tests {
             (26.0, 18.0),
             (28.0, 18.0),
         ] {
-            let MaterializedRoom::Multi(mut room) = materialize(&scenario).unwrap() else {
-                unreachable!("preset is multi-zone");
-            };
+            let mut room = materialize(&scenario).unwrap();
             room.force_all_on();
             room.set_loads(&vec![0.5; n]).unwrap();
             room.set_fixed_supplies(&[

@@ -18,7 +18,7 @@ use crate::replay::ReplayOutcome;
 use crate::runtime::TraceOutcome;
 use coolopt_scenario::Scenario;
 use coolopt_sim::HealthReport;
-use coolopt_telemetry::RegistrySnapshot;
+use coolopt_telemetry::{self as telemetry, RegistrySnapshot};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -548,6 +548,38 @@ impl RunReport {
         }
         out.push_str(&self.metrics.render_table());
         out
+    }
+}
+
+/// Writes the run report (`DIR/telemetry_<name>.json`) and the flight
+/// recorder's Chrome trace (`DIR/trace_<name>.json`), logging both paths
+/// under the event target `source`, then prints the stdout document: the
+/// report's JSON under `json`, else its table unless events are quiet.
+///
+/// # Panics
+///
+/// Panics if `results_dir` is not writable.
+pub fn emit_report(report: &RunReport, results_dir: &Path, json: bool, source: &str) {
+    let path = report
+        .write_to(results_dir)
+        .expect("results dir is writable");
+    telemetry::info!(
+        source,
+        "wrote run report",
+        path = path.display().to_string()
+    );
+    let trace_path = results_dir.join(format!("trace_{}.json", report.name));
+    std::fs::write(&trace_path, telemetry::flight_snapshot().to_chrome_json())
+        .expect("results dir is writable");
+    telemetry::info!(
+        source,
+        "wrote chrome trace",
+        path = trace_path.display().to_string()
+    );
+    if json {
+        println!("{}", report.to_json());
+    } else if !telemetry::events_quiet() {
+        println!("{}", report.render_table());
     }
 }
 

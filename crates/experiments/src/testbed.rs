@@ -2,7 +2,7 @@
 
 use coolopt_profiling::{profile_room_full, ProfileError, ProfileOptions, RoomProfile};
 use coolopt_room::room::InvalidRoom;
-use coolopt_room::{materialize_machine_room, presets, MachineRoom};
+use coolopt_room::{materialize, presets, MachineRoom};
 use coolopt_scenario::{RackOptions, Scenario};
 use std::fmt;
 
@@ -123,7 +123,7 @@ impl Testbed {
                 zones: scenario.zone_count(),
             });
         }
-        let mut room = materialize_machine_room(scenario)?;
+        let mut room = materialize(scenario)?;
         let profile = profile_room_full(&mut room, &ProfileOptions::default())?;
         Ok(Testbed {
             room,

@@ -1,7 +1,9 @@
 //! Pins the committed `results/` to the code: the `reproduce` and
 //! `ablation` binaries, run at seed 42, must print exactly
 //! `results/reproduction_seed42.txt` and `results/ablation_seed42.txt`
-//! and write exactly the committed `results/csv/*.csv`.
+//! and write exactly the committed `results/csv/*.csv`; `reproduce` on the
+//! shipped two-zone document must print exactly
+//! `results/two_zone_hetero.txt`.
 //!
 //! The figure text, savings lines and CSVs are deterministic (debug and
 //! release builds print the same bytes), so any difference is a change to
@@ -12,6 +14,8 @@
 //!     > results/reproduction_seed42.txt
 //! cargo run --release -p coolopt-experiments --bin ablation -- 42 --quiet \
 //!     > results/ablation_seed42.txt
+//! cargo run --release -p coolopt-experiments --bin reproduce -- \
+//!     --scenario scenarios/two_zone_hetero.json --quiet > results/two_zone_hetero.txt
 //! ```
 //!
 //! The same runs also write the timing-bearing `telemetry_*.json`,
@@ -24,6 +28,10 @@ use std::process::Command;
 
 fn results_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
+}
+
+fn scenarios_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
 }
 
 fn scratch_dir(name: &str) -> PathBuf {
@@ -113,5 +121,23 @@ fn ablation_seed42_matches_committed_text() {
         &["42", "--quiet", "--results", dir.to_str().unwrap()],
     );
     assert_pinned(&results_dir().join("ablation_seed42.txt"), &stdout);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn two_zone_hetero_matches_committed_table() {
+    let dir = scratch_dir("two-zone");
+    let scenario = scenarios_dir().join("two_zone_hetero.json");
+    let stdout = run(
+        env!("CARGO_BIN_EXE_reproduce"),
+        &[
+            "--scenario",
+            scenario.to_str().unwrap(),
+            "--quiet",
+            "--results",
+            dir.to_str().unwrap(),
+        ],
+    );
+    assert_pinned(&results_dir().join("two_zone_hetero.txt"), &stdout);
     let _ = std::fs::remove_dir_all(&dir);
 }

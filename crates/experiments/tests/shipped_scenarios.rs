@@ -5,16 +5,17 @@
 //! preset" can never drift apart.
 //!
 //! Fleet-scale documents (more than [`MATERIALIZE_LIMIT`] machines) skip
-//! the physical materialization — the simulator's per-pair recirculation
-//! matrix is quadratic in `n` — and are smoke-planned through the
-//! hierarchical consolidation index on their declared models instead.
+//! the physical materialization — a simulated plant of thousands of
+//! machines is out of place in a schema check — and are smoke-planned
+//! through the hierarchical consolidation index on their declared models
+//! instead.
 
 use coolopt_core::{solve_zones, solve_zones_uniform, HierConfig, HierIndex, PowerTerms};
 use coolopt_room::materialize;
 use coolopt_scenario::{presets, zone_machines, zone_system, Scenario};
 use std::path::PathBuf;
 
-/// Largest fleet the quadratic plant materialization is asked to build.
+/// Largest fleet the simulated plant is materialized for.
 const MATERIALIZE_LIMIT: usize = 1000;
 
 fn scenarios_dir() -> PathBuf {

@@ -63,7 +63,7 @@ impl std::error::Error for CoolingProfileError {}
 
 /// Measures the supply ceiling: command a set point the room's heat can
 /// never push the return up to, let the valve pin at its minimum, and read
-/// where the supply settles.
+/// where the supply settles (CRAC 0's; profiled rooms have one unit).
 pub fn measure_t_ac_max(
     room: &mut MachineRoom,
     probe_load: f64,
@@ -75,7 +75,7 @@ pub fn measure_t_ac_max(
         .expect("probe load is a valid fraction");
     room.set_set_point(Temperature::from_celsius(35.0));
     room.settle(settle_max, 5.0);
-    room.air_state().t_supply
+    room.air_state().supplies[0]
 }
 
 /// Fits the cooling model and builds the set-point table from grid records

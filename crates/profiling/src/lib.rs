@@ -105,6 +105,12 @@ pub enum ProfileError {
     Cooling(crac_profile::CoolingProfileError),
     /// The assembled model was rejected.
     Model(String),
+    /// The room has several zones; the §IV-A model has one `T_ac`, so
+    /// profiling needs a room with exactly one CRAC.
+    MultiZone {
+        /// CRAC count of the offending room.
+        cracs: usize,
+    },
 }
 
 impl fmt::Display for ProfileError {
@@ -114,6 +120,10 @@ impl fmt::Display for ProfileError {
             ProfileError::Thermal(e) => write!(f, "{e}"),
             ProfileError::Cooling(e) => write!(f, "{e}"),
             ProfileError::Model(e) => write!(f, "model assembly failed: {e}"),
+            ProfileError::MultiZone { cracs } => write!(
+                f,
+                "room has {cracs} CRAC units; profiling needs a single-zone room"
+            ),
         }
     }
 }
@@ -124,12 +134,17 @@ impl std::error::Error for ProfileError {}
 ///
 /// # Errors
 ///
-/// Returns [`ProfileError`] when any fit fails or the assembled model is
-/// rejected.
+/// Returns [`ProfileError`] when the room has more than one CRAC, any fit
+/// fails, or the assembled model is rejected.
 pub fn profile_room_full(
     room: &mut MachineRoom,
     options: &ProfileOptions,
 ) -> Result<RoomProfile, ProfileError> {
+    if room.zone_count() != 1 {
+        return Err(ProfileError::MultiZone {
+            cracs: room.zone_count(),
+        });
+    }
     let points = default_grid(room.len(), &options.set_points);
     let records = run_grid(room, &points, options.settle_max, options.window);
 
@@ -201,6 +216,30 @@ mod tests {
 
         // The assembled model carries the ceiling.
         assert!(profile.model.t_ac_max().is_some());
+    }
+
+    #[test]
+    fn multi_zone_rooms_are_refused() {
+        // The two servers of a small rack, split into two zones of one CRAC
+        // each.
+        let rack = presets::small_rack(2, 1);
+        let servers = rack.servers();
+        let mut room = MachineRoom::new(
+            vec![servers[..1].to_vec(), servers[1..].to_vec()],
+            vec![rack.cracs()[0].clone(); 2],
+            vec![0.8; 2],
+            vec![0.0; 2],
+            vec![0.9; 2],
+            vec![vec![1.0, 0.0], vec![0.0, 1.0]],
+            vec![vec![0.0; 2]; 2],
+            *rack.config(),
+            0,
+        )
+        .unwrap();
+        assert_eq!(
+            profile_room_full(&mut room, &ProfileOptions::default()),
+            Err(ProfileError::MultiZone { cracs: 2 })
+        );
     }
 
     #[test]

@@ -18,13 +18,14 @@ pub struct RoomObservation {
     pub cpu_temps: Vec<Temperature>,
     /// Per-server power readings (meter path).
     pub server_powers: Vec<Watts>,
-    /// Supply ("cool air") temperature `T_ac`.
+    /// Supply ("cool air") temperature `T_ac` of CRAC 0 (the single-zone
+    /// testbed's only unit).
     pub t_supply: Temperature,
-    /// Return-stream temperature.
+    /// Return-stream temperature of CRAC 0.
     pub t_return: Temperature,
     /// Room-air temperature.
     pub t_room: Temperature,
-    /// Cooling-unit electrical power.
+    /// Electrical power of all cooling units.
     pub cooling_power: Watts,
     /// Total power (computing + cooling).
     pub total_power: Watts,
@@ -43,8 +44,8 @@ impl RoomObservation {
             time: room.now(),
             cpu_temps,
             server_powers,
-            t_supply: air.t_supply,
-            t_return: air.t_return,
+            t_supply: air.supplies[0],
+            t_return: air.returns[0],
             t_room: room.room_temp(),
             cooling_power,
             total_power: computing + cooling_power,

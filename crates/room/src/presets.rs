@@ -3,14 +3,12 @@
 //! Since the scenarios-as-data refactor these presets are thin wrappers:
 //! each one emits a [`coolopt_scenario::Scenario`] document (via
 //! [`coolopt_scenario::presets`]) and materializes it through
-//! [`crate::scenario::materialize_machine_room`]. Loading the equivalent
+//! [`crate::scenario::materialize`]. Loading the equivalent
 //! JSON file from `scenarios/` produces a bit-identical room — that identity
 //! is pinned by regression tests in [`crate::scenario`].
 
-use crate::airflow::AirDistribution;
-use crate::geometry::Rack;
 use crate::room::{MachineRoom, RoomConfig};
-use crate::scenario::materialize_machine_room;
+use crate::scenario::materialize;
 use coolopt_cooling::{CracConfig, CracUnit};
 use coolopt_machine::{Server, ServerId};
 use coolopt_units::Temperature;
@@ -81,7 +79,7 @@ pub fn parametric_rack_with(options: RackOptions) -> MachineRoom {
         options.jitter_scale
     );
     let scenario = coolopt_scenario::presets::single_zone(options);
-    materialize_machine_room(&scenario).expect("preset scenario materializes")
+    materialize(&scenario).expect("preset scenario materializes")
 }
 
 /// Two racks in one room at different distances from the CRAC — the "within
@@ -112,13 +110,15 @@ pub fn dual_zone_room(n_per_rack: usize, seed: u64) -> MachineRoom {
         ..RackOptions::default()
     });
 
-    // Recombine into one room: concatenate server configs, air paths and
-    // geometry, renumbering machines into the combined index space.
+    // Recombine into one zone under one CRAC: concatenate server configs
+    // and air paths, renumbering machines into the combined index space. The
+    // far rack's bottom slot keeps its zero recirculation: nothing sits
+    // below it.
     let n = 2 * n_per_rack;
     let mut servers = Vec::with_capacity(n);
     let mut supply = Vec::with_capacity(n);
+    let mut recirc = Vec::with_capacity(n);
     let mut capture = Vec::with_capacity(n);
-    let mut recirc = vec![vec![0.0; n]; n];
     for (offset, room) in [(0usize, &near), (n_per_rack, &far)] {
         for (i, server) in room.servers().iter().enumerate() {
             let combined = offset + i;
@@ -128,20 +128,24 @@ pub fn dual_zone_room(n_per_rack: usize, seed: u64) -> MachineRoom {
                 seed.wrapping_add(combined as u64),
                 Temperature::from_celsius(24.0),
             ));
-            supply.push(room.air_distribution().supply_fraction(i));
-            capture.push(room.air_distribution().capture_fraction(i));
-            if i > 0 {
-                // Preserve each rack's internal neighbour recirculation.
-                recirc[combined][combined - 1] = 0.04 + 0.04 * room.rack().relative_height(i);
-            }
+            supply.push(room.supply_fraction(i));
+            recirc.push(room.neighbor_recirculation(i));
+            capture.push(room.capture_fraction(i));
         }
     }
-    let air =
-        AirDistribution::new(supply, recirc, capture).expect("combined air distribution is valid");
-    let rack = Rack::new_1u(n, 0.2);
     let crac = CracUnit::new(CracConfig::challenger_like());
-    MachineRoom::new(servers, crac, air, rack, RoomConfig::default(), seed)
-        .expect("dual-zone room is consistent")
+    MachineRoom::new(
+        vec![servers],
+        vec![crac],
+        supply,
+        recirc,
+        capture,
+        vec![vec![1.0]],
+        vec![vec![0.0]],
+        RoomConfig::default(),
+        seed,
+    )
+    .expect("dual-zone room is consistent")
 }
 
 #[cfg(test)]
@@ -155,13 +159,12 @@ mod tests {
         // clear of the per-server process noise (~±0.4 °C instantaneous).
         let room = dual_zone_room(10, 3);
         assert_eq!(room.len(), 20);
-        let air = room.air_distribution();
         // Every near-rack machine draws more supply air than any far one.
         let near_min = (0..10)
-            .map(|i| air.supply_fraction(i))
+            .map(|i| room.supply_fraction(i))
             .fold(f64::INFINITY, f64::min);
         let far_max = (10..20)
-            .map(|i| air.supply_fraction(i))
+            .map(|i| room.supply_fraction(i))
             .fold(f64::NEG_INFINITY, f64::max);
         assert!(
             near_min > far_max,
@@ -198,7 +201,7 @@ mod tests {
     fn testbed_has_twenty_machines() {
         let room = testbed_rack20(1);
         assert_eq!(room.len(), 20);
-        assert_eq!(room.rack().len(), 20);
+        assert_eq!(room.zone_count(), 1);
     }
 
     #[test]
@@ -220,10 +223,9 @@ mod tests {
     #[test]
     fn bottom_machines_get_more_supply_air() {
         let room = testbed_rack20(2);
-        let air = room.air_distribution();
-        assert!(air.supply_fraction(0) > air.supply_fraction(19));
-        assert!(air.supply_fraction(0) > 0.9);
-        assert!(air.supply_fraction(19) < 0.5);
+        assert!(room.supply_fraction(0) > room.supply_fraction(19));
+        assert!(room.supply_fraction(0) > 0.9);
+        assert!(room.supply_fraction(19) < 0.5);
     }
 
     #[test]

@@ -1,15 +1,29 @@
 //! The composed machine-room ODE system.
+//!
+//! A room holds `Z ≥ 1` zones (racks), each served mostly by its own CRAC.
+//! The paper's testbed is the one-zone case. Within a zone every server
+//! draws its intake from the zone's supply stream, from its lower
+//! neighbour's exhaust and from the room air; uncaptured exhaust and
+//! unclaimed supply spill into the common room-air node. Two mechanisms
+//! couple the zones:
+//!
+//! * **Supply sharing** — zone `z`'s cold stream is a convex mixture of the
+//!   CRAC supplies, `T_mix_z = Σ_u share[z][u]·T_supply_u` (two units
+//!   feeding one aisle through a common plenum). Returns flow back the same
+//!   way: CRAC `u` receives `share[z][u]` of zone `z`'s captured exhaust.
+//! * **Cross-zone recirculation** — a fraction `cross[z][w]` of every
+//!   zone-`z` inlet is drawn from zone `w`'s mean exhaust (hot-aisle
+//!   leakage across the room).
 
-use crate::airflow::AirDistribution;
 use crate::envelope::Envelope;
-use crate::geometry::Rack;
 use coolopt_cooling::{CracMode, CracUnit};
 use coolopt_machine::{CpuTempSensor, PowerMeter, Server};
 use coolopt_sim::ode::{Dynamics, Integrator, Rk4};
-use coolopt_sim::{SimClock, SimScratch};
+use coolopt_sim::{SimClock, SimScratch, TrendDetector};
 use coolopt_units::{FlowRate, HeatCapacity, Seconds, Temperature, Watts, C_AIR};
 use std::cell::RefCell;
 use std::fmt;
+use std::ops::Range;
 
 /// Error returned when assembling an inconsistent machine room.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,18 +73,36 @@ impl Default for RoomConfig {
     }
 }
 
-/// The simulated machine room: `n` servers, one CRAC, air paths, envelope.
+/// The simulated machine room: `n` servers in `Z` zones, one CRAC per
+/// zone, the air paths between them, and the envelope.
 ///
-/// The continuous state is
-/// `[T_cpu_0, T_box_0, …, T_cpu_{n−1}, T_box_{n−1}, T_room, crac_integral]`;
-/// [`MachineRoom::step`] advances it with RK4 and then lets the discrete
-/// parts (boot timers, noise processes) catch up.
+/// Servers are indexed flat in zone-major order, bottom slot first. The
+/// continuous state is
+/// `[T_cpu_0, T_box_0, …, T_cpu_{n−1}, T_box_{n−1}, T_room, integral_0, …,
+/// integral_{Z−1}]`; [`MachineRoom::step`] advances it with RK4 and then
+/// lets the discrete parts (boot timers, noise processes) catch up.
 #[derive(Debug, Clone)]
 pub struct MachineRoom {
     servers: Vec<Server>,
-    crac: CracUnit,
-    air: AirDistribution,
-    rack: Rack,
+    cracs: Vec<CracUnit>,
+    /// Zone index of every server.
+    zone_of: Vec<usize>,
+    /// Server-index range of every zone.
+    zone_ranges: Vec<Range<usize>>,
+    /// Per-server share of the zone's mixed supply stream (the physical
+    /// origin of the paper's `α_i`).
+    supply_fraction: Vec<f64>,
+    /// Per-server fraction of the lower neighbour's exhaust (0 at the
+    /// bottom of each zone).
+    neighbor_recirc: Vec<f64>,
+    /// Per-server exhaust capture fraction; the rest spills into the room.
+    capture: Vec<f64>,
+    /// `supply_share[z][u]`: fraction of zone z's supply stream provided by
+    /// CRAC u (rows sum to 1).
+    supply_share: Vec<Vec<f64>>,
+    /// `cross_zone[z][w]`: fraction of zone-z inlets drawn from zone w's
+    /// mean exhaust (diagonal 0).
+    cross_zone: Vec<Vec<f64>>,
     config: RoomConfig,
     t_room: Temperature,
     clock: SimClock,
@@ -85,22 +117,25 @@ pub struct MachineRoom {
     air_buffers: RefCell<AirBuffers>,
 }
 
-/// Reused air-path temporaries: exhaust temperatures, per-server flows and
-/// inlet temperatures.
+/// Reused air-path temporaries: per-server exhausts, flows and inlets,
+/// per-CRAC returns and supplies, per-zone mean exhausts.
 #[derive(Debug, Clone, Default)]
 struct AirBuffers {
     exhausts: Vec<Temperature>,
     flows: Vec<FlowRate>,
     inlets: Vec<Temperature>,
+    returns: Vec<Temperature>,
+    supplies: Vec<Temperature>,
+    zone_means: Vec<f64>,
 }
 
 /// View of the instantaneous air-path temperatures.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AirState {
-    /// CRAC return-stream temperature.
-    pub t_return: Temperature,
-    /// CRAC supply temperature `T_ac`.
-    pub t_supply: Temperature,
+    /// Per-CRAC return-stream temperatures.
+    pub returns: Vec<Temperature>,
+    /// Per-CRAC supply temperatures `T_ac`.
+    pub supplies: Vec<Temperature>,
     /// Per-server inlet temperatures `T_in`.
     pub inlets: Vec<Temperature>,
 }
@@ -108,45 +143,125 @@ pub struct AirState {
 impl MachineRoom {
     /// Assembles a machine room.
     ///
+    /// `zone_servers` holds one `Vec<Server>` per zone (bottom slot first)
+    /// and `cracs` one unit per zone. The per-server fractions are flat in
+    /// zone-major order: `supply_fraction` of the zone's supply stream,
+    /// `neighbor_recirc` of the lower neighbour's exhaust, `capture` of the
+    /// own exhaust into the return duct. `supply_share` (one row per zone,
+    /// one column per CRAC) must be row-stochastic and `cross_zone` square
+    /// with zero diagonal. A one-zone room takes `vec![vec![1.0]]` and
+    /// `vec![vec![0.0]]`.
+    ///
     /// # Errors
     ///
-    /// Returns [`InvalidRoom`] if the component counts disagree or the
-    /// servers collectively demand more supply air than the CRAC provides.
+    /// Returns [`InvalidRoom`] naming the violated rule: mismatched counts,
+    /// a fraction outside `[0, 1]`, a recirculating zone bottom, a server
+    /// drawing more than all of its intake (supply + recirculation +
+    /// cross-zone > 1), or a CRAC whose flow does not cover the supply air
+    /// the servers draw through it at full fan speed.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
-        servers: Vec<Server>,
-        crac: CracUnit,
-        air: AirDistribution,
-        rack: Rack,
+        zone_servers: Vec<Vec<Server>>,
+        cracs: Vec<CracUnit>,
+        supply_fraction: Vec<f64>,
+        neighbor_recirc: Vec<f64>,
+        capture: Vec<f64>,
+        supply_share: Vec<Vec<f64>>,
+        cross_zone: Vec<Vec<f64>>,
         config: RoomConfig,
         sensor_seed: u64,
     ) -> Result<Self, InvalidRoom> {
-        let n = servers.len();
-        if n == 0 {
-            return Err(InvalidRoom {
-                what: "a machine room needs at least one server".into(),
-            });
+        let fail = |what: String| Err(InvalidRoom::new(what));
+        let z_count = zone_servers.len();
+        if z_count == 0 || zone_servers.iter().any(Vec::is_empty) {
+            return fail("a machine room needs at least one server in every zone".into());
         }
-        if air.len() != n || rack.len() != n {
-            return Err(InvalidRoom {
-                what: format!(
-                    "component mismatch: {n} servers, air distribution for {}, rack of {}",
-                    air.len(),
-                    rack.len()
-                ),
-            });
+        if cracs.len() != z_count {
+            return fail(format!(
+                "{z_count} zones but {} CRAC units (one per zone)",
+                cracs.len()
+            ));
         }
-        let max_flows: Vec<_> = servers.iter().map(|s| s.config().fan_flow).collect();
-        let demand = air.supply_flow_demand(&max_flows);
-        if demand.as_cubic_meters_per_second() > crac.config().flow.as_cubic_meters_per_second() {
-            return Err(InvalidRoom {
-                what: format!(
-                    "servers demand {demand} of supply air but the CRAC provides {}",
-                    crac.config().flow
-                ),
-            });
+        let n: usize = zone_servers.iter().map(Vec::len).sum();
+        for (name, len) in [
+            ("supply fractions", supply_fraction.len()),
+            ("neighbour recirculation", neighbor_recirc.len()),
+            ("capture fractions", capture.len()),
+        ] {
+            if len != n {
+                return fail(format!(
+                    "component mismatch: {name} cover {len} servers, room has {n}"
+                ));
+            }
+        }
+        if supply_share.len() != z_count || cross_zone.len() != z_count {
+            return fail(format!(
+                "share/cross matrices must have {z_count} rows (got {} and {})",
+                supply_share.len(),
+                cross_zone.len()
+            ));
+        }
+        let mut zone_of = Vec::with_capacity(n);
+        let mut zone_ranges = Vec::with_capacity(z_count);
+        for (z, servers) in zone_servers.iter().enumerate() {
+            let start = zone_of.len();
+            zone_ranges.push(start..start + servers.len());
+            zone_of.resize(start + servers.len(), z);
+        }
+        for (z, (share, cross)) in supply_share.iter().zip(&cross_zone).enumerate() {
+            if share.len() != z_count || cross.len() != z_count {
+                return fail(format!("share/cross row {z} must have {z_count} entries"));
+            }
+            if share.iter().any(|s| !(0.0..=1.0).contains(s)) {
+                return fail(format!("supply-share row {z} outside [0, 1]"));
+            }
+            let sum: f64 = share.iter().sum();
+            if (sum - 1.0).abs() > 1e-9 {
+                return fail(format!("supply-share row {z} sums to {sum}, not 1"));
+            }
+            if cross[z] != 0.0 {
+                return fail(format!("zone {z} cannot cross-recirculate its own exhaust"));
+            }
+            if cross.iter().any(|c| !(0.0..=1.0).contains(c)) {
+                return fail(format!("cross-zone row {z} outside [0, 1]"));
+            }
+            let cross_sum: f64 = cross.iter().sum();
+            for i in zone_ranges[z].clone() {
+                let s = supply_fraction[i];
+                let r = neighbor_recirc[i];
+                if !(0.0..=1.0).contains(&s) || !(0.0..=1.0).contains(&r) {
+                    return fail(format!("server {i}: air fractions outside [0, 1]"));
+                }
+                if i == zone_ranges[z].start && r != 0.0 {
+                    return fail(format!("server {i} is a zone bottom but recirculates"));
+                }
+                if s + r + cross_sum > 1.0 + 1e-12 {
+                    return fail(format!(
+                        "server {i}: supply {s} + recirculation {r} + cross {cross_sum} > 1"
+                    ));
+                }
+            }
+        }
+        if capture.iter().any(|c| !(0.0..=1.0).contains(c)) {
+            return fail("capture fraction outside [0, 1]".into());
+        }
+        let mut servers: Vec<Server> = zone_servers.into_iter().flatten().collect();
+        for (u, crac) in cracs.iter().enumerate() {
+            let mut drawn = 0.0;
+            for (i, s) in servers.iter().enumerate() {
+                drawn += supply_share[zone_of[i]][u]
+                    * supply_fraction[i]
+                    * s.config().fan_flow.as_cubic_meters_per_second();
+            }
+            let provided = crac.config().flow;
+            if drawn > provided.as_cubic_meters_per_second() {
+                return fail(format!(
+                    "servers draw {} of supply air through CRAC {u}, which provides {provided}",
+                    FlowRate::cubic_meters_per_second(drawn)
+                ));
+            }
         }
         let t0 = config.initial_temp;
-        let mut servers = servers;
         for s in &mut servers {
             s.sync_thermal_state(t0, t0);
         }
@@ -156,23 +271,25 @@ impl MachineRoom {
         let power_meters = (0..n)
             .map(|i| PowerMeter::with_default_noise(sensor_seed.wrapping_add(1000 + i as u64)))
             .collect();
+        let dim = 2 * n + 1 + z_count;
         Ok(MachineRoom {
             servers,
-            crac,
-            air,
-            rack,
+            cracs,
+            zone_of,
+            zone_ranges,
+            supply_fraction,
+            neighbor_recirc,
+            capture,
+            supply_share,
+            cross_zone,
             config,
             t_room: t0,
             clock: SimClock::new(config.dt),
             temp_sensors,
             power_meters,
-            ode_state: Vec::with_capacity(2 * n + Self::EXTRA_STATES),
-            scratch: SimScratch::with_dim(2 * n + Self::EXTRA_STATES),
-            air_buffers: RefCell::new(AirBuffers {
-                exhausts: Vec::with_capacity(n),
-                flows: Vec::with_capacity(n),
-                inlets: Vec::with_capacity(n),
-            }),
+            ode_state: Vec::with_capacity(dim),
+            scratch: SimScratch::with_dim(dim),
+            air_buffers: RefCell::new(AirBuffers::default()),
         })
     }
 
@@ -186,7 +303,22 @@ impl MachineRoom {
         self.servers.is_empty()
     }
 
-    /// The servers.
+    /// Number of zones (= CRAC units).
+    pub fn zone_count(&self) -> usize {
+        self.cracs.len()
+    }
+
+    /// Zone index of server `i`.
+    pub fn zone_of(&self, i: usize) -> usize {
+        self.zone_of[i]
+    }
+
+    /// Server-index range of zone `z`.
+    pub fn zone_range(&self, z: usize) -> Range<usize> {
+        self.zone_ranges[z].clone()
+    }
+
+    /// The servers, flat in zone-major order.
     pub fn servers(&self) -> &[Server] {
         &self.servers
     }
@@ -196,24 +328,29 @@ impl MachineRoom {
         &mut self.servers[i]
     }
 
-    /// The cooling unit.
-    pub fn crac(&self) -> &CracUnit {
-        &self.crac
+    /// The cooling units, zone order.
+    pub fn cracs(&self) -> &[CracUnit] {
+        &self.cracs
     }
 
-    /// Mutable access to the cooling unit.
-    pub fn crac_mut(&mut self) -> &mut CracUnit {
-        &mut self.crac
+    /// Mutable access to zone `u`'s cooling unit.
+    pub fn crac_mut(&mut self, u: usize) -> &mut CracUnit {
+        &mut self.cracs[u]
     }
 
-    /// The rack geometry.
-    pub fn rack(&self) -> &Rack {
-        &self.rack
+    /// Share of its zone's supply stream in server `i`'s intake.
+    pub fn supply_fraction(&self, i: usize) -> f64 {
+        self.supply_fraction[i]
     }
 
-    /// The air-distribution description.
-    pub fn air_distribution(&self) -> &AirDistribution {
-        &self.air
+    /// Share of its lower neighbour's exhaust in server `i`'s intake.
+    pub fn neighbor_recirculation(&self, i: usize) -> f64 {
+        self.neighbor_recirc[i]
+    }
+
+    /// Fraction of server `i`'s exhaust captured by the return duct.
+    pub fn capture_fraction(&self, i: usize) -> f64 {
+        self.capture[i]
     }
 
     /// The room configuration.
@@ -231,9 +368,24 @@ impl MachineRoom {
         self.clock.now()
     }
 
-    /// Commands the CRAC's return-air set point.
+    /// Commands every CRAC's return-air set point.
     pub fn set_set_point(&mut self, t_sp: Temperature) {
-        self.crac.set_mode(CracMode::ReturnSetPoint(t_sp));
+        for crac in &mut self.cracs {
+            crac.set_mode(CracMode::ReturnSetPoint(t_sp));
+        }
+    }
+
+    /// Commands every CRAC into fixed-supply mode at the given temperatures
+    /// (the planner's per-zone `T_ac` decision).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the vector length disagrees with the zone count.
+    pub fn set_fixed_supplies(&mut self, supplies: &[Temperature]) {
+        assert_eq!(supplies.len(), self.cracs.len(), "one supply per CRAC");
+        for (crac, &t) in self.cracs.iter_mut().zip(supplies) {
+            crac.set_mode(CracMode::FixedSupply(t));
+        }
     }
 
     /// Powers every machine on instantly (skipping boot) with zero load.
@@ -276,12 +428,16 @@ impl MachineRoom {
         }
     }
 
-    /// Commands per-server load fractions.
+    /// Commands per-server load fractions (flat, zone-major).
     ///
     /// # Errors
     ///
     /// Returns the underlying [`coolopt_machine::server::InvalidLoad`] if any
     /// fraction is outside `[0, 1]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the vector length disagrees with the server count.
     pub fn set_loads(&mut self, loads: &[f64]) -> Result<(), coolopt_machine::server::InvalidLoad> {
         assert_eq!(loads.len(), self.servers.len(), "load vector size mismatch");
         for (s, &l) in self.servers.iter_mut().zip(loads) {
@@ -292,17 +448,28 @@ impl MachineRoom {
 
     /// Instantaneous air-path temperatures for the current state.
     pub fn air_state(&self) -> AirState {
-        let exhausts: Vec<_> = self.servers.iter().map(|s| s.exhaust_temp()).collect();
-        let flows: Vec<_> = self.servers.iter().map(|s| s.air_flow()).collect();
-        let t_return =
-            self.air
-                .return_temp(&exhausts, &flows, self.t_room, self.crac.config().flow);
-        let t_supply = self.crac.supply_temp(t_return, self.crac.integral());
-        let inlets = self.air.inlet_temps(t_supply, &exhausts, self.t_room);
-        AirState {
-            t_return,
-            t_supply,
+        let mut buffers = self.air_buffers.borrow_mut();
+        let AirBuffers {
+            exhausts,
+            flows,
             inlets,
+            returns,
+            supplies,
+            zone_means,
+        } = &mut *buffers;
+        self.current_returns(exhausts, flows, returns);
+        supplies.clear();
+        supplies.extend(
+            self.cracs
+                .iter()
+                .zip(returns.iter())
+                .map(|(crac, &t_ret)| crac.supply_temp(t_ret, crac.integral())),
+        );
+        self.inlet_temps_into(supplies, exhausts, self.t_room, zone_means, inlets);
+        AirState {
+            returns: returns.clone(),
+            supplies: supplies.clone(),
+            inlets: inlets.clone(),
         }
     }
 
@@ -311,28 +478,22 @@ impl MachineRoom {
         self.servers.iter().map(|s| s.power_draw()).sum()
     }
 
-    /// Electrical power of the cooling unit.
+    /// Electrical power of all cooling units. Allocation-free: it sits
+    /// inside settle and recording loops.
     pub fn cooling_power(&self) -> Watts {
-        let t_return = self.current_return_temp();
-        self.crac.electrical_power(t_return, self.crac.integral())
-    }
-
-    /// Return-stream temperature for the *current* state, computed through
-    /// the reused air buffers (no allocation — this sits inside settle and
-    /// recording loops).
-    fn current_return_temp(&self) -> Temperature {
         let mut buffers = self.air_buffers.borrow_mut();
         let AirBuffers {
-            exhausts, flows, ..
+            exhausts,
+            flows,
+            returns,
+            ..
         } = &mut *buffers;
-        exhausts.clear();
-        flows.clear();
-        for s in &self.servers {
-            exhausts.push(s.exhaust_temp());
-            flows.push(s.air_flow());
-        }
-        self.air
-            .return_temp(exhausts, flows, self.t_room, self.crac.config().flow)
+        self.current_returns(exhausts, flows, returns);
+        self.cracs
+            .iter()
+            .zip(returns.iter())
+            .map(|(crac, &t_ret)| crac.electrical_power(t_ret, crac.integral()))
+            .sum()
     }
 
     /// Total room power: computing + cooling, the paper's `P_total`.
@@ -353,10 +514,96 @@ impl MachineRoom {
         self.power_meters[i].read(p)
     }
 
-    const EXTRA_STATES: usize = 2; // room air + CRAC integral
+    /// Fills `exhausts` and `flows` from the current server state and
+    /// `returns` from them.
+    fn current_returns(
+        &self,
+        exhausts: &mut Vec<Temperature>,
+        flows: &mut Vec<FlowRate>,
+        returns: &mut Vec<Temperature>,
+    ) {
+        exhausts.clear();
+        flows.clear();
+        for s in &self.servers {
+            exhausts.push(s.exhaust_temp());
+            flows.push(s.air_flow());
+        }
+        self.return_temps_into(exhausts, flows, self.t_room, returns);
+    }
 
-    fn dim_internal(&self) -> usize {
-        2 * self.servers.len() + Self::EXTRA_STATES
+    /// Per-CRAC return temperatures, into `returns` (cleared first). CRAC
+    /// `u` receives its supply share of every server's captured exhaust
+    /// (flow-weighted) and tops the stream up with room air to its own
+    /// flow; if the captured exhaust alone fills the duct, the duct
+    /// overflows into the room and the return is pure exhaust.
+    fn return_temps_into(
+        &self,
+        exhausts: &[Temperature],
+        flows: &[FlowRate],
+        t_room: Temperature,
+        returns: &mut Vec<Temperature>,
+    ) {
+        returns.clear();
+        for (u, crac) in self.cracs.iter().enumerate() {
+            let mut captured_flow = 0.0;
+            let mut captured_heat = 0.0; // flow-weighted temperature
+            for (i, (t, f)) in exhausts.iter().zip(flows).enumerate() {
+                let share = self.supply_share[self.zone_of[i]][u];
+                if share > 0.0 {
+                    let cf = share * self.capture[i] * f.as_cubic_meters_per_second();
+                    captured_flow += cf;
+                    captured_heat += cf * t.as_kelvin();
+                }
+            }
+            let f_ac = crac.config().flow.as_cubic_meters_per_second();
+            returns.push(if captured_flow >= f_ac {
+                Temperature::from_kelvin(captured_heat / captured_flow)
+            } else {
+                let makeup = f_ac - captured_flow;
+                Temperature::from_kelvin((captured_heat + makeup * t_room.as_kelvin()) / f_ac)
+            });
+        }
+    }
+
+    /// Per-server inlet temperatures, into `inlets` (cleared first): the
+    /// zone's supply mix, the lower neighbour's exhaust, every other zone's
+    /// mean exhaust (cross-zone recirculation), and room air for the rest.
+    fn inlet_temps_into(
+        &self,
+        supplies: &[Temperature],
+        exhausts: &[Temperature],
+        t_room: Temperature,
+        zone_means: &mut Vec<f64>,
+        inlets: &mut Vec<Temperature>,
+    ) {
+        zone_means.clear();
+        for range in &self.zone_ranges {
+            let sum: f64 = exhausts[range.clone()].iter().map(|t| t.as_kelvin()).sum();
+            zone_means.push(sum / range.len() as f64);
+        }
+        inlets.clear();
+        for (i, &z) in self.zone_of.iter().enumerate() {
+            let t_mix: f64 = self.supply_share[z]
+                .iter()
+                .zip(supplies)
+                .map(|(share, t)| share * t.as_kelvin())
+                .sum();
+            let s = self.supply_fraction[i];
+            let r = self.neighbor_recirc[i];
+            let mut kelvin = s * t_mix;
+            if r > 0.0 {
+                kelvin += r * exhausts[i - 1].as_kelvin();
+            }
+            let mut room_air = 1.0 - s - r;
+            for (&x, &mean) in self.cross_zone[z].iter().zip(zone_means.iter()) {
+                if x > 0.0 {
+                    kelvin += x * mean;
+                    room_air -= x;
+                }
+            }
+            kelvin += room_air * t_room.as_kelvin();
+            inlets.push(Temperature::from_kelvin(kelvin));
+        }
     }
 
     fn pack_state_into(&self, x: &mut Vec<f64>) {
@@ -366,18 +613,23 @@ impl MachineRoom {
             x.push(s.exhaust_temp().as_kelvin());
         }
         x.push(self.t_room.as_kelvin());
-        x.push(self.crac.integral());
+        for c in &self.cracs {
+            x.push(c.integral());
+        }
     }
 
     fn unpack_state(&mut self, x: &[f64]) {
+        let n = self.servers.len();
         for (i, s) in self.servers.iter_mut().enumerate() {
             s.sync_thermal_state(
                 Temperature::from_kelvin(x[2 * i]),
                 Temperature::from_kelvin(x[2 * i + 1]),
             );
         }
-        self.t_room = Temperature::from_kelvin(x[x.len() - 2]);
-        self.crac.sync_integral(x[x.len() - 1]);
+        self.t_room = Temperature::from_kelvin(x[2 * n]);
+        for (c, &integral) in self.cracs.iter_mut().zip(&x[2 * n + 1..]) {
+            c.sync_integral(integral);
+        }
     }
 
     /// Advances the simulation by one step `dt`.
@@ -418,7 +670,6 @@ impl MachineRoom {
     ///
     /// Returns `true` if steady state was reached.
     pub fn settle(&mut self, max: Seconds, power_tol: f64) -> bool {
-        use coolopt_sim::TrendDetector;
         let mut power = TrendDetector::new(120, power_tol);
         let mut temp = TrendDetector::new(120, 0.2);
         let n = self.clock.ticks_for(max);
@@ -441,13 +692,13 @@ impl MachineRoom {
 
 impl Dynamics for MachineRoom {
     fn dim(&self) -> usize {
-        self.dim_internal()
+        2 * self.servers.len() + 1 + self.cracs.len()
     }
 
     fn derivatives(&self, _t: Seconds, x: &[f64], dx: &mut [f64]) {
         let n = self.servers.len();
         let t_room = Temperature::from_kelvin(x[2 * n]);
-        let integral = x[2 * n + 1];
+        let integrals = &x[2 * n + 1..];
 
         // Borrow the reused air-path temporaries for the whole evaluation;
         // nothing below re-enters `derivatives`, so the RefCell never
@@ -457,6 +708,9 @@ impl Dynamics for MachineRoom {
             exhausts,
             flows,
             inlets,
+            returns,
+            supplies,
+            zone_means,
         } = &mut *buffers;
         exhausts.clear();
         flows.clear();
@@ -464,13 +718,16 @@ impl Dynamics for MachineRoom {
             exhausts.push(Temperature::from_kelvin(x[2 * i + 1]));
             flows.push(s.air_flow());
         }
-
-        let t_return = self
-            .air
-            .return_temp(exhausts, flows, t_room, self.crac.config().flow);
-        let t_supply = self.crac.supply_temp(t_return, integral);
-        self.air
-            .inlet_temps_into(t_supply, exhausts, t_room, inlets);
+        self.return_temps_into(exhausts, flows, t_room, returns);
+        supplies.clear();
+        supplies.extend(
+            self.cracs
+                .iter()
+                .zip(returns.iter())
+                .zip(integrals)
+                .map(|((crac, &t_ret), &integral)| crac.supply_temp(t_ret, integral)),
+        );
+        self.inlet_temps_into(supplies, exhausts, t_room, zone_means, inlets);
 
         let mut spilled_heat = Watts::ZERO;
         for (i, server) in self.servers.iter().enumerate() {
@@ -479,24 +736,32 @@ impl Dynamics for MachineRoom {
             let (d_cpu, d_box) = server.thermal_rates(inlets[i], t_cpu, t_box);
             dx[2 * i] = d_cpu.as_kelvin_per_second();
             dx[2 * i + 1] = d_box.as_kelvin_per_second();
-            let spill_conductance = (flows[i] * (1.0 - self.air.capture_fraction(i))) * C_AIR;
+            let spill_conductance = (flows[i] * (1.0 - self.capture[i])) * C_AIR;
             spilled_heat += spill_conductance * (t_box - t_room);
         }
 
-        // Supply air not drawn by servers spills into the room.
-        let excess_supply = FlowRate::cubic_meters_per_second(
-            self.crac.config().flow.as_cubic_meters_per_second()
-                - self
-                    .air
-                    .supply_flow_demand(flows)
-                    .as_cubic_meters_per_second(),
-        );
-        let supply_spill = (excess_supply * C_AIR) * (t_supply - t_room);
+        // Supply air not drawn through each CRAC spills into the room at
+        // that unit's supply temperature.
+        let mut supply_spill = Watts::ZERO;
+        for (u, crac) in self.cracs.iter().enumerate() {
+            let mut drawn = 0.0;
+            for (i, f) in flows.iter().enumerate() {
+                drawn += self.supply_share[self.zone_of[i]][u]
+                    * self.supply_fraction[i]
+                    * f.as_cubic_meters_per_second();
+            }
+            let excess = FlowRate::cubic_meters_per_second(
+                (crac.config().flow.as_cubic_meters_per_second() - drawn).max(0.0),
+            );
+            supply_spill += (excess * C_AIR) * (supplies[u] - t_room);
+        }
         let envelope_gain = self.config.envelope.heat_gain(t_room);
 
         let room_heat = spilled_heat + supply_spill + envelope_gain;
         dx[2 * n] = (room_heat / self.config.room_air_capacity).as_kelvin_per_second();
-        dx[2 * n + 1] = self.crac.integral_rate(t_return, integral);
+        for (u, crac) in self.cracs.iter().enumerate() {
+            dx[2 * n + 1 + u] = crac.integral_rate(returns[u], integrals[u]);
+        }
     }
 }
 
@@ -504,6 +769,265 @@ impl Dynamics for MachineRoom {
 mod tests {
     use super::*;
     use crate::presets;
+    use coolopt_cooling::CracConfig;
+    use coolopt_machine::{ServerConfig, ServerId};
+
+    fn t(c: f64) -> Temperature {
+        Temperature::from_celsius(c)
+    }
+
+    /// `n` R210-like servers numbered from `first`.
+    fn servers(n: usize, first: usize) -> Vec<Server> {
+        (first..first + n)
+            .map(|i| Server::new(ServerId(i), ServerConfig::r210_like(), i as u64, t(24.0)))
+            .collect()
+    }
+
+    fn crac(flow: f64) -> CracUnit {
+        CracUnit::new(
+            CracConfig::builder()
+                .flow(FlowRate::cubic_meters_per_second(flow))
+                .build()
+                .unwrap(),
+        )
+    }
+
+    /// One zone of `supply.len()` servers under one CRAC of `crac_flow`.
+    fn one_zone(
+        supply: Vec<f64>,
+        recirc: Vec<f64>,
+        capture: Vec<f64>,
+        crac_flow: f64,
+    ) -> Result<MachineRoom, InvalidRoom> {
+        let n = supply.len();
+        MachineRoom::new(
+            vec![servers(n, 0)],
+            vec![crac(crac_flow)],
+            supply,
+            recirc,
+            capture,
+            vec![vec![1.0]],
+            vec![vec![0.0]],
+            RoomConfig::default(),
+            0,
+        )
+    }
+
+    /// Two zones of `sizes` servers, each drawing `supply` of its zone's
+    /// stream and capturing half its exhaust, under CRACs of `flows`.
+    fn two_zones(
+        sizes: [usize; 2],
+        supply: f64,
+        share: [[f64; 2]; 2],
+        cross: [[f64; 2]; 2],
+        flows: [f64; 2],
+    ) -> Result<MachineRoom, InvalidRoom> {
+        let n = sizes[0] + sizes[1];
+        MachineRoom::new(
+            vec![servers(sizes[0], 0), servers(sizes[1], sizes[0])],
+            vec![crac(flows[0]), crac(flows[1])],
+            vec![supply; n],
+            vec![0.0; n],
+            vec![0.5; n],
+            share.map(Vec::from).to_vec(),
+            cross.map(Vec::from).to_vec(),
+            RoomConfig::default(),
+            0,
+        )
+    }
+
+    const ONE_CRAC_PER_ZONE: [[f64; 2]; 2] = [[1.0, 0.0], [0.0, 1.0]];
+    const NO_CROSS: [[f64; 2]; 2] = [[0.0; 2]; 2];
+
+    fn inlets(
+        room: &MachineRoom,
+        supplies: &[Temperature],
+        exhausts: &[Temperature],
+        t_room: Temperature,
+    ) -> Vec<Temperature> {
+        let mut out = Vec::new();
+        room.inlet_temps_into(supplies, exhausts, t_room, &mut Vec::new(), &mut out);
+        out
+    }
+
+    fn returns(
+        room: &MachineRoom,
+        exhausts: &[Temperature],
+        flows: &[f64],
+        t_room: Temperature,
+    ) -> Vec<Temperature> {
+        let flows: Vec<_> = flows
+            .iter()
+            .map(|&f| FlowRate::cubic_meters_per_second(f))
+            .collect();
+        let mut out = Vec::new();
+        room.return_temps_into(exhausts, &flows, t_room, &mut out);
+        out
+    }
+
+    fn assert_celsius(actual: Temperature, expected: f64) {
+        assert!(
+            (actual.as_celsius() - expected).abs() < 1e-9,
+            "{actual} vs {expected} °C"
+        );
+    }
+
+    #[test]
+    fn inlets_interpolate_supply_and_room_air() {
+        let room = one_zone(vec![0.8; 3], vec![0.0; 3], vec![0.9; 3], 1.5).unwrap();
+        for inlet in inlets(&room, &[t(10.0)], &[t(30.0); 3], t(20.0)) {
+            assert_celsius(inlet, 0.8 * 10.0 + 0.2 * 20.0);
+        }
+    }
+
+    #[test]
+    fn recirculation_warms_the_inlet() {
+        let room = one_zone(vec![0.8, 0.8], vec![0.0, 0.1], vec![0.9, 0.9], 1.5).unwrap();
+        let inlets = inlets(&room, &[t(10.0)], &[t(40.0), t(35.0)], t(20.0));
+        // The bottom server sees 0.8·10 + 0.2·20 = 12 °C.
+        assert_celsius(inlets[0], 12.0);
+        // Its upper neighbour sees 0.8·10 + 0.1·40 + 0.1·20 = 14 °C.
+        assert_celsius(inlets[1], 14.0);
+    }
+
+    #[test]
+    fn return_mixes_captured_exhaust_with_room_air() {
+        let room = one_zone(vec![0.5; 2], vec![0.0; 2], vec![0.5; 2], 1.0).unwrap();
+        // Captured: 0.5·0.1·2 = 0.1 m³/s of 40 °C; makeup 0.9 m³/s of 20 °C.
+        let ret = returns(&room, &[t(40.0); 2], &[0.1; 2], t(20.0));
+        assert_celsius(ret[0], 22.0);
+    }
+
+    #[test]
+    fn overflowing_duct_returns_pure_exhaust() {
+        let room = one_zone(vec![0.5; 2], vec![0.0; 2], vec![1.0; 2], 1.0).unwrap();
+        // 3 m³/s of captured exhaust into a 1 m³/s duct: no room air, and
+        // the flow-weighted exhaust mix (40 + 2·46) / 3 = 44 °C returns.
+        let ret = returns(&room, &[t(40.0), t(46.0)], &[1.0, 2.0], t(20.0));
+        assert_celsius(ret[0], 44.0);
+    }
+
+    #[test]
+    fn supply_demand_is_flow_weighted() {
+        // Fans of 0.04 and 0.02 m³/s drawing 50 % and 100 % supply air take
+        // 0.04 m³/s from the CRAC: 0.041 m³/s covers them, 0.039 does not.
+        let build = |crac_flow: f64| {
+            let zone = [0.04, 0.02]
+                .iter()
+                .enumerate()
+                .map(|(i, &fan)| {
+                    let config = ServerConfig {
+                        fan_flow: FlowRate::cubic_meters_per_second(fan),
+                        ..ServerConfig::r210_like()
+                    };
+                    Server::new(ServerId(i), config, i as u64, t(24.0))
+                })
+                .collect();
+            MachineRoom::new(
+                vec![zone],
+                vec![crac(crac_flow)],
+                vec![0.5, 1.0],
+                vec![0.0, 0.0],
+                vec![1.0, 1.0],
+                vec![vec![1.0]],
+                vec![vec![0.0]],
+                RoomConfig::default(),
+                0,
+            )
+        };
+        assert!(build(0.041).is_ok());
+        assert!(build(0.039).is_err());
+    }
+
+    #[test]
+    fn validation_rejects_bad_fractions() {
+        // Supply, recirculation or capture outside [0, 1].
+        assert!(one_zone(vec![1.5, 0.5], vec![0.0; 2], vec![0.5; 2], 1.5).is_err());
+        assert!(one_zone(vec![0.5; 2], vec![0.0, -0.1], vec![0.5; 2], 1.5).is_err());
+        assert!(one_zone(vec![0.5; 2], vec![0.0; 2], vec![0.5, -0.1], 1.5).is_err());
+        // Supply + recirculation exceeding 1.
+        assert!(one_zone(vec![0.9, 0.9], vec![0.0, 0.2], vec![1.0; 2], 1.5).is_err());
+        // A vector that does not cover every server.
+        assert!(one_zone(vec![0.5; 2], vec![0.0], vec![1.0; 2], 1.5).is_err());
+        // A supply-share row that is not stochastic, a self-recirculating zone.
+        assert!(two_zones([1, 1], 0.5, [[0.6, 0.6], [0.0, 1.0]], NO_CROSS, [1.5; 2]).is_err());
+        assert!(two_zones(
+            [1, 1],
+            0.5,
+            ONE_CRAC_PER_ZONE,
+            [[0.1, 0.0], [0.0, 0.0]],
+            [1.5; 2]
+        )
+        .is_err());
+    }
+
+    #[test]
+    fn a_zone_fed_half_and_half_sees_the_mean_supply() {
+        let room = two_zones([1, 1], 1.0, [[0.5, 0.5], [0.0, 1.0]], NO_CROSS, [1.5; 2]).unwrap();
+        let inlets = inlets(&room, &[t(10.0), t(20.0)], &[t(40.0); 2], t(25.0));
+        assert_celsius(inlets[0], 15.0);
+        assert_celsius(inlets[1], 20.0);
+    }
+
+    #[test]
+    fn cross_zone_recirculation_warms_the_receiving_zone() {
+        // Zone 1 draws 10 % of its intake from zone 0's mean exhaust (40 °C).
+        let cross = [[0.0, 0.0], [0.1, 0.0]];
+        let room = two_zones([2, 1], 0.8, ONE_CRAC_PER_ZONE, cross, [1.5; 2]).unwrap();
+        let exhausts = [t(36.0), t(44.0), t(30.0)];
+        let inlets = inlets(&room, &[t(10.0), t(10.0)], &exhausts, t(20.0));
+        // Zone 0 is untouched: 0.8·10 + 0.2·20 = 12 °C.
+        assert_celsius(inlets[0], 12.0);
+        assert_celsius(inlets[1], 12.0);
+        // Zone 1: 0.8·10 + 0.1·40 + 0.1·20 = 14 °C.
+        assert_celsius(inlets[2], 14.0);
+    }
+
+    #[test]
+    fn each_crac_return_sees_only_its_share_of_captured_exhaust() {
+        // Zone 0 is fed by CRAC 0 alone; zone 1 a quarter by CRAC 0 and
+        // three quarters by CRAC 1. Captured exhaust per server: 0.5·0.2 =
+        // 0.1 m³/s. CRAC 0 gets 0.1 of 40 °C + 0.025 of 80 °C + 0.875 of
+        // room air; CRAC 1 gets 0.075 of 80 °C + 0.925 of room air.
+        let share = [[1.0, 0.0], [0.25, 0.75]];
+        let room = two_zones([1, 1], 0.5, share, NO_CROSS, [1.0; 2]).unwrap();
+        let ret = returns(&room, &[t(40.0), t(80.0)], &[0.2; 2], t(20.0));
+        assert_celsius(ret[0], 0.1 * 40.0 + 0.025 * 80.0 + 0.875 * 20.0);
+        assert_celsius(ret[1], 0.075 * 80.0 + 0.925 * 20.0);
+    }
+
+    #[test]
+    fn a_recirculating_zone_bottom_is_rejected() {
+        // Server 2 is zone 1's bottom: no neighbour below it in that rack.
+        let build = |r: f64| {
+            MachineRoom::new(
+                vec![servers(2, 0), servers(2, 2)],
+                vec![crac(1.5), crac(1.5)],
+                vec![0.5; 4],
+                vec![0.0, 0.05, r, 0.05],
+                vec![0.5; 4],
+                ONE_CRAC_PER_ZONE.map(Vec::from).to_vec(),
+                NO_CROSS.map(Vec::from).to_vec(),
+                RoomConfig::default(),
+                0,
+            )
+        };
+        assert!(build(0.0).is_ok());
+        let err = build(0.05).unwrap_err();
+        assert!(err.to_string().contains("zone bottom"), "{err}");
+    }
+
+    #[test]
+    fn an_overcommitted_second_crac_is_rejected() {
+        // Zone 1's server draws 80 % of its fan flow through CRAC 1.
+        let fan = ServerConfig::r210_like()
+            .fan_flow
+            .as_cubic_meters_per_second();
+        let build = |flow: f64| two_zones([1, 1], 0.8, ONE_CRAC_PER_ZONE, NO_CROSS, [1.5, flow]);
+        assert!(build(0.9 * fan).is_ok());
+        let err = build(0.7 * fan).unwrap_err();
+        assert!(err.to_string().contains("CRAC 1"), "{err}");
+    }
 
     #[test]
     fn settles_and_regulates_return_at_set_point() {
@@ -515,12 +1039,12 @@ mod tests {
         assert!(ok, "room failed to settle");
         let air = room.air_state();
         assert!(
-            (air.t_return.as_celsius() - 17.0).abs() < 0.3,
+            (air.returns[0].as_celsius() - 17.0).abs() < 0.3,
             "return at {}, wanted 17 °C",
-            air.t_return
+            air.returns[0]
         );
         // Supply must sit below return by load/(f·c).
-        assert!(air.t_supply < air.t_return);
+        assert!(air.supplies[0] < air.returns[0]);
     }
 
     #[test]
@@ -532,9 +1056,8 @@ mod tests {
         room.set_set_point(Temperature::from_celsius(16.0));
         assert!(room.settle(Seconds::new(6000.0), 2.0));
         let air = room.air_state();
-        let coil = room
-            .crac()
-            .cooling_load(air.t_return, room.crac().integral());
+        let crac = &room.cracs()[0];
+        let coil = crac.cooling_load(air.returns[0], crac.integral());
         let generated = room.computing_power() + room.config().envelope.heat_gain(room.room_temp());
         let rel = (coil.as_watts() - generated.as_watts()).abs() / generated.as_watts();
         assert!(
@@ -542,7 +1065,6 @@ mod tests {
             "coil {coil} vs generated {generated} (rel err {rel})"
         );
     }
-
     #[test]
     fn higher_set_point_cuts_cooling_power() {
         let measure = |sp: f64| {
@@ -627,7 +1149,10 @@ mod tests {
             assert_eq!(sa.exhaust_temp(), sb.exhaust_temp());
         }
         assert_eq!(a.room_temp(), b.room_temp());
-        assert_eq!(a.crac().integral().to_bits(), b.crac().integral().to_bits());
+        assert_eq!(
+            a.cracs()[0].integral().to_bits(),
+            b.cracs()[0].integral().to_bits()
+        );
         assert_eq!(
             a.read_cpu_temp(2),
             b.read_cpu_temp(2),
@@ -638,11 +1163,30 @@ mod tests {
     #[test]
     fn construction_rejects_mismatched_components() {
         let room = presets::small_rack(3, 5);
-        let servers = room.servers().to_vec();
-        let crac = room.crac().clone();
-        let air = AirDistribution::uniform(2, 0.5, 0.8).unwrap();
-        let rack = Rack::new_1u(3, 0.0);
-        let result = MachineRoom::new(servers, crac, air, rack, *room.config(), 0);
+        let result = MachineRoom::new(
+            vec![room.servers().to_vec()],
+            room.cracs().to_vec(),
+            vec![0.5; 2],
+            vec![0.0; 2],
+            vec![0.8; 2],
+            vec![vec![1.0]],
+            vec![vec![0.0]],
+            *room.config(),
+            0,
+        );
+        assert!(result.is_err());
+        // One zone needs one CRAC.
+        let result = MachineRoom::new(
+            vec![room.servers().to_vec()],
+            vec![room.cracs()[0].clone(); 2],
+            vec![0.5; 3],
+            vec![0.0; 3],
+            vec![0.8; 3],
+            vec![vec![1.0]],
+            vec![vec![0.0]],
+            *room.config(),
+            0,
+        );
         assert!(result.is_err());
     }
 }

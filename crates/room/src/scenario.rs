@@ -1,18 +1,14 @@
-//! Scenario materialization: [`Scenario`] → simulated plant.
+//! Scenario materialization: [`Scenario`] → simulated [`MachineRoom`].
 //!
-//! A validated scenario document becomes either a [`MachineRoom`] (one
-//! zone — the classic single-CRAC plant, bit-identical to the historical
-//! code presets for the shipped `testbed_rack20` document) or a
-//! [`MultiZoneRoom`] (several zones/CRACs).
+//! Every validated scenario document, whatever its zone count, becomes one
+//! [`MachineRoom`]. For the shipped single-zone `testbed_rack20` document
+//! the plant is bit-identical to the historical code presets.
 //!
 //! Per-machine manufacturing jitter is drawn from the zone's deterministic
 //! RNG stream ([`Scenario::zone_seed`]; zone 0 is the historical
 //! single-rack stream) in the schema's fixed field order, so the same
 //! document always materializes the same machines.
 
-use crate::airflow::AirDistribution;
-use crate::geometry::Rack;
-use crate::multizone::MultiZoneRoom;
 use crate::room::{InvalidRoom, MachineRoom, RoomConfig};
 use coolopt_cooling::CracUnit;
 use coolopt_machine::{Server, ServerConfig, ServerId};
@@ -20,31 +16,6 @@ use coolopt_scenario::{MachineClass, Scenario, ZoneSpec};
 use coolopt_units::{Conductance, FlowRate, HeatCapacity, Temperature, Watts};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// A materialized plant: single-zone scenarios become the classic
-/// [`MachineRoom`], multi-zone ones a [`MultiZoneRoom`].
-#[derive(Debug, Clone)]
-pub enum MaterializedRoom {
-    /// One zone, one CRAC.
-    Single(MachineRoom),
-    /// Several zones, one CRAC each.
-    Multi(MultiZoneRoom),
-}
-
-impl MaterializedRoom {
-    /// Number of servers.
-    pub fn len(&self) -> usize {
-        match self {
-            MaterializedRoom::Single(r) => r.len(),
-            MaterializedRoom::Multi(r) => r.len(),
-        }
-    }
-
-    /// `true` when the plant holds no servers (never after materialization).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 /// Builds one zone's servers, drawing manufacturing jitter from the zone's
 /// RNG stream in the schema's canonical field order. `index_base` is the
@@ -93,7 +64,7 @@ fn build_zone_servers(
     servers
 }
 
-/// Materializes a **single-zone** scenario into the classic [`MachineRoom`].
+/// Materializes a scenario into its simulated plant.
 ///
 /// For scenarios emitted by `coolopt_scenario::presets::single_zone` this
 /// reproduces `presets::parametric_rack_with` bit for bit (pinned by the
@@ -101,81 +72,36 @@ fn build_zone_servers(
 ///
 /// # Errors
 ///
-/// Returns [`InvalidRoom`] for multi-zone scenarios or a room the
-/// component-level validation rejects.
-pub fn materialize_machine_room(scenario: &Scenario) -> Result<MachineRoom, InvalidRoom> {
-    if !scenario.is_single_zone() {
-        return Err(InvalidRoom::new(format!(
-            "scenario {:?} has {} zones; use materialize()",
-            scenario.name,
-            scenario.zone_count()
-        )));
-    }
-    let zone = &scenario.zones[0];
-    let n = zone.machine_count();
-    let rack = Rack::new_1u(n, zone.rack_base_height_m);
-    let servers = build_zone_servers(scenario, zone, 0, 0);
-    let supply_fraction: Vec<f64> = (0..n).map(|j| zone.supply_fraction(j, n)).collect();
-    let mut recirculation = vec![vec![0.0; n]; n];
-    for (j, row) in recirculation.iter_mut().enumerate().skip(1) {
-        row[j - 1] = zone.neighbor_recirculation(j, n);
-    }
-    let capture = vec![zone.capture; n];
-    let air = AirDistribution::new(supply_fraction, recirculation, capture)
-        .map_err(|e| InvalidRoom::new(format!("scenario air distribution: {e}")))?;
-    let crac = CracUnit::new(zone.crac);
-    MachineRoom::new(
-        servers,
-        crac,
-        air,
-        rack,
-        RoomConfig::default(),
-        scenario.seed,
-    )
-}
-
-/// Materializes a scenario into a simulated plant: [`MachineRoom`] for one
-/// zone, [`MultiZoneRoom`] for several.
-///
-/// # Errors
-///
 /// Returns [`InvalidRoom`] when component-level validation rejects the
 /// assembled plant (a validated scenario normally cannot trigger this,
 /// except by overcommitting a CRAC's air flow).
-pub fn materialize(scenario: &Scenario) -> Result<MaterializedRoom, InvalidRoom> {
-    if scenario.is_single_zone() {
-        return Ok(MaterializedRoom::Single(materialize_machine_room(
-            scenario,
-        )?));
-    }
-    let mut zone_servers = Vec::with_capacity(scenario.zone_count());
+pub fn materialize(scenario: &Scenario) -> Result<MachineRoom, InvalidRoom> {
+    let z_count = scenario.zone_count();
+    let mut zone_servers = Vec::with_capacity(z_count);
+    let mut cracs = Vec::with_capacity(z_count);
+    let mut supply_share = Vec::with_capacity(z_count);
     let mut supply_fraction = Vec::new();
     let mut neighbor_recirc = Vec::new();
     let mut capture = Vec::new();
-    let mut supply_share = Vec::with_capacity(scenario.zone_count());
     let mut index_base = 0usize;
     for (z, zone) in scenario.zones.iter().enumerate() {
         let n = zone.machine_count();
         zone_servers.push(build_zone_servers(scenario, zone, z, index_base));
+        cracs.push(CracUnit::new(zone.crac));
+        supply_share.push(zone.supply_share.clone());
         for j in 0..n {
             supply_fraction.push(zone.supply_fraction(j, n));
             neighbor_recirc.push(zone.neighbor_recirculation(j, n));
             capture.push(zone.capture);
         }
-        supply_share.push(zone.supply_share.clone());
         index_base += n;
     }
-    let cracs: Vec<CracUnit> = scenario
-        .zones
-        .iter()
-        .map(|z| CracUnit::new(z.crac))
-        .collect();
     let cross_zone = if scenario.cross_zone_recirculation.is_empty() {
-        vec![vec![0.0; scenario.zone_count()]; scenario.zone_count()]
+        vec![vec![0.0; z_count]; z_count]
     } else {
         scenario.cross_zone_recirculation.clone()
     };
-    MultiZoneRoom::new(
+    MachineRoom::new(
         zone_servers,
         cracs,
         supply_fraction,
@@ -186,7 +112,6 @@ pub fn materialize(scenario: &Scenario) -> Result<MaterializedRoom, InvalidRoom>
         RoomConfig::default(),
         scenario.seed,
     )
-    .map(MaterializedRoom::Multi)
 }
 
 #[cfg(test)]
@@ -204,7 +129,7 @@ mod tests {
     fn testbed_scenario_materializes_bit_identically_to_the_preset() {
         for seed in [0, 5, 123] {
             let scenario = scenario_presets::testbed_rack20(seed);
-            let from_scenario = materialize_machine_room(&scenario).unwrap();
+            let from_scenario = materialize(&scenario).unwrap();
             let from_code = presets::testbed_rack20(seed);
             assert_rooms_identical(&from_scenario, &from_code);
         }
@@ -221,7 +146,7 @@ mod tests {
             jitter_scale: 0.5,
         };
         let scenario = scenario_presets::single_zone(options);
-        let a = materialize_machine_room(&scenario).unwrap();
+        let a = materialize(&scenario).unwrap();
         let b = presets::parametric_rack_with(options);
         assert_rooms_identical(&a, &b);
     }
@@ -233,13 +158,14 @@ mod tests {
         }
         for i in 0..a.len() {
             assert_eq!(
-                a.air_distribution().supply_fraction(i).to_bits(),
-                b.air_distribution().supply_fraction(i).to_bits()
+                a.supply_fraction(i).to_bits(),
+                b.supply_fraction(i).to_bits()
             );
             assert_eq!(
-                a.air_distribution().capture_fraction(i),
-                b.air_distribution().capture_fraction(i)
+                a.neighbor_recirculation(i).to_bits(),
+                b.neighbor_recirculation(i).to_bits()
             );
+            assert_eq!(a.capture_fraction(i), b.capture_fraction(i));
         }
         assert_eq!(a.config(), b.config());
         // Behavioural identity: identical trajectories, sensors included.
@@ -269,10 +195,7 @@ mod tests {
     #[test]
     fn two_zone_scenario_materializes_and_settles() {
         let scenario = scenario_presets::two_zone_hetero(1);
-        let room = materialize(&scenario).unwrap();
-        let MaterializedRoom::Multi(mut room) = room else {
-            panic!("two zones must materialize to a MultiZoneRoom");
-        };
+        let mut room = materialize(&scenario).unwrap();
         assert_eq!(room.len(), scenario.total_machines());
         assert_eq!(room.zone_count(), 2);
         room.force_all_on();
@@ -308,9 +231,7 @@ mod tests {
     fn colder_zone_supply_cools_that_zones_machines_more() {
         let scenario = scenario_presets::two_zone_hetero(2);
         let settle_with = |t0: f64, t1: f64| {
-            let MaterializedRoom::Multi(mut room) = materialize(&scenario).unwrap() else {
-                panic!("expected multi-zone");
-            };
+            let mut room = materialize(&scenario).unwrap();
             room.force_all_on();
             let n = room.len();
             room.set_loads(&vec![0.6; n]).unwrap();
@@ -333,11 +254,5 @@ mod tests {
             warm - cold > 2.0,
             "cooling CRAC 1 by 6 K should cool the far zone clearly (warm {warm:.2}, cold {cold:.2})"
         );
-    }
-
-    #[test]
-    fn materialize_rejects_multi_zone_via_single_entry() {
-        let scenario = scenario_presets::two_zone_hetero(0);
-        assert!(materialize_machine_room(&scenario).is_err());
     }
 }

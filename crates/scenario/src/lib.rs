@@ -6,9 +6,9 @@
 //! (schema tag [`SCENARIO_SCHEMA`]). Everything downstream consumes
 //! scenarios:
 //!
-//! * `coolopt_room::scenario` materializes them into simulated plants
-//!   (`MachineRoom` for one zone, `MultiZoneRoom` for several), reproducing
-//!   the classic code presets bit for bit;
+//! * `coolopt_room::scenario` materializes them into the simulated plant
+//!   (one `MachineRoom`, whatever the zone count), reproducing the classic
+//!   code presets bit for bit;
 //! * [`plan::zone_system`] materializes the *declared* models into the
 //!   block-structured planning problem solved by `coolopt_core::zones`;
 //! * experiment binaries accept `--scenario <file>` and stamp run reports

@@ -16,8 +16,8 @@
 //! * [`trace`] — time-series recording with summary statistics;
 //! * [`noise`] — deterministic, seeded Gaussian and Ornstein–Uhlenbeck noise
 //!   sources used to emulate sensor and physical-process noise;
-//! * [`steady`] — a windowed steady-state detector (the paper waits ≈200 s
-//!   for each load level to settle before sampling);
+//! * [`steady`] — a windowed trend detector for steady state (the paper
+//!   waits ≈200 s for each load level to settle before sampling);
 //! * [`clock`] — the simulation clock.
 //!
 //! ```
@@ -60,5 +60,5 @@ pub use linear::{LinearDynamics, LinearOde, Propagator, PropagatorCache};
 pub use noise::{GaussianNoise, OrnsteinUhlenbeck};
 pub use ode::{Dynamics, ForwardEuler, Integrator, Rk4};
 pub use scratch::SimScratch;
-pub use steady::{SteadyStateDetector, TrendDetector};
+pub use steady::TrendDetector;
 pub use trace::{SoaRecorder, TimeSeries, TraceStats};

@@ -2,115 +2,16 @@
 //!
 //! The paper's profiling methodology holds each load level "until a stable
 //! CPU temperature was reached (in about 200 seconds)". The simulator does
-//! the same programmatically: a signal is declared steady once its peak-to-
-//! peak excursion over a trailing window falls below a tolerance.
+//! the same programmatically: a signal is declared steady once the means of
+//! two consecutive trailing windows agree to within a tolerance.
 
 use std::collections::VecDeque;
-
-/// Declares a scalar signal steady when its peak-to-peak range over the last
-/// `window` samples is below `tolerance`.
-///
-/// Observation is O(1) amortized: instead of rescanning the window for its
-/// extrema on every sample, the detector maintains monotonic min/max deques
-/// (each sample is pushed and popped at most once), so the current range is
-/// always available at the deque fronts.
-///
-/// ```
-/// use coolopt_sim::SteadyStateDetector;
-/// let mut d = SteadyStateDetector::new(4, 0.1);
-/// for v in [5.0, 3.0, 2.0, 1.5, 1.02, 1.01, 1.0, 1.0] {
-///     d.observe(v);
-/// }
-/// assert!(d.is_steady());
-/// ```
-#[derive(Debug, Clone)]
-pub struct SteadyStateDetector {
-    window: usize,
-    tolerance: f64,
-    /// Samples seen since the last reset; sample `k` leaves the window once
-    /// `k + window <= seen`.
-    seen: usize,
-    /// Indices of non-increasing values — front is the window maximum.
-    max_idx: VecDeque<(usize, f64)>,
-    /// Indices of non-decreasing values — front is the window minimum.
-    min_idx: VecDeque<(usize, f64)>,
-}
-
-impl SteadyStateDetector {
-    /// Creates a detector over a trailing window of `window` samples with
-    /// peak-to-peak tolerance `tolerance`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window < 2` or `tolerance` is negative/non-finite.
-    pub fn new(window: usize, tolerance: f64) -> Self {
-        assert!(window >= 2, "window must hold at least 2 samples");
-        assert!(
-            tolerance.is_finite() && tolerance >= 0.0,
-            "tolerance must be finite and non-negative"
-        );
-        SteadyStateDetector {
-            window,
-            tolerance,
-            seen: 0,
-            max_idx: VecDeque::with_capacity(window),
-            min_idx: VecDeque::with_capacity(window),
-        }
-    }
-
-    /// Feeds the next sample.
-    pub fn observe(&mut self, value: f64) {
-        let k = self.seen;
-        self.seen += 1;
-        // Evict samples that just slid out of the window.
-        let oldest = self.seen.saturating_sub(self.window);
-        while self.max_idx.front().is_some_and(|&(i, _)| i < oldest) {
-            self.max_idx.pop_front();
-        }
-        while self.min_idx.front().is_some_and(|&(i, _)| i < oldest) {
-            self.min_idx.pop_front();
-        }
-        // A new sample dominates every older one it exceeds (max) or
-        // undercuts (min); those can never be the window extremum again.
-        while self.max_idx.back().is_some_and(|&(_, v)| v <= value) {
-            self.max_idx.pop_back();
-        }
-        while self.min_idx.back().is_some_and(|&(_, v)| v >= value) {
-            self.min_idx.pop_back();
-        }
-        self.max_idx.push_back((k, value));
-        self.min_idx.push_back((k, value));
-    }
-
-    /// `true` once a full window has been seen and its range is within
-    /// tolerance.
-    pub fn is_steady(&self) -> bool {
-        if self.fill() < self.window {
-            return false;
-        }
-        let max = self.max_idx.front().expect("window is non-empty").1;
-        let min = self.min_idx.front().expect("window is non-empty").1;
-        max - min <= self.tolerance
-    }
-
-    /// Forgets all history (e.g. when the operating point changes).
-    pub fn reset(&mut self) {
-        self.seen = 0;
-        self.max_idx.clear();
-        self.min_idx.clear();
-    }
-
-    /// Number of samples currently in the window.
-    pub fn fill(&self) -> usize {
-        self.seen.min(self.window)
-    }
-}
 
 /// Declares a *noisy* signal steady when the means of two consecutive
 /// trailing windows agree to within `tolerance`.
 ///
-/// Peak-to-peak detection ([`SteadyStateDetector`]) never fires on a signal
-/// with persistent measurement noise; comparing window means averages the
+/// Peak-to-peak detection (window range below a tolerance) never fires on a
+/// signal with persistent measurement noise; comparing window means averages the
 /// noise away and detects the end of the *trend* instead, which is what
 /// "reached a stable temperature" means on real hardware.
 #[derive(Debug, Clone)]
@@ -205,93 +106,5 @@ mod tests {
     #[should_panic(expected = "tolerance")]
     fn trend_detector_rejects_nan_tolerance() {
         TrendDetector::new(5, f64::NAN);
-    }
-
-    #[test]
-    fn not_steady_before_window_fills() {
-        let mut d = SteadyStateDetector::new(3, 1.0);
-        d.observe(1.0);
-        d.observe(1.0);
-        assert!(!d.is_steady());
-        d.observe(1.0);
-        assert!(d.is_steady());
-    }
-
-    #[test]
-    fn detects_settling_of_decaying_signal() {
-        let mut d = SteadyStateDetector::new(10, 0.05);
-        let mut steady_at = None;
-        for k in 0..200 {
-            let v = 50.0 * (-(k as f64) / 20.0).exp() + 30.0;
-            d.observe(v);
-            if d.is_steady() && steady_at.is_none() {
-                steady_at = Some(k);
-            }
-        }
-        let k = steady_at.expect("should eventually settle");
-        // By k the last-10 window excursion must be below tolerance; for this
-        // decay that happens around k ≈ 140 but certainly not before k = 50.
-        assert!(k > 50, "settled unrealistically early at {k}");
-    }
-
-    #[test]
-    fn ramp_is_never_steady() {
-        let mut d = SteadyStateDetector::new(5, 0.5);
-        for k in 0..100 {
-            d.observe(k as f64);
-            assert!(!d.is_steady());
-        }
-    }
-
-    #[test]
-    fn reset_clears_history() {
-        let mut d = SteadyStateDetector::new(2, 1.0);
-        d.observe(1.0);
-        d.observe(1.0);
-        assert!(d.is_steady());
-        d.reset();
-        assert_eq!(d.fill(), 0);
-        assert!(!d.is_steady());
-    }
-
-    #[test]
-    #[should_panic(expected = "window")]
-    fn tiny_window_panics() {
-        SteadyStateDetector::new(1, 1.0);
-    }
-
-    #[test]
-    fn deque_detector_matches_brute_force_oracle() {
-        // A wiggly deterministic sequence with repeats, spikes, and plateaus.
-        let signal: Vec<f64> = (0..500)
-            .map(|k| {
-                let k = k as f64;
-                (k * 0.37).sin() * 10.0 / (1.0 + k * 0.05) + ((k * 7.0) % 3.0)
-            })
-            .collect();
-        for window in [2, 3, 7, 50] {
-            for tolerance in [0.0, 0.5, 5.0] {
-                let mut d = SteadyStateDetector::new(window, tolerance);
-                let mut recent: VecDeque<f64> = VecDeque::new();
-                for (k, &v) in signal.iter().enumerate() {
-                    d.observe(v);
-                    if recent.len() == window {
-                        recent.pop_front();
-                    }
-                    recent.push_back(v);
-                    let oracle = recent.len() == window && {
-                        let max = recent.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                        let min = recent.iter().cloned().fold(f64::INFINITY, f64::min);
-                        max - min <= tolerance
-                    };
-                    assert_eq!(
-                        d.is_steady(),
-                        oracle,
-                        "divergence at sample {k}, window {window}, tol {tolerance}"
-                    );
-                    assert_eq!(d.fill(), recent.len());
-                }
-            }
-        }
     }
 }

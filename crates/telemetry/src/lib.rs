@@ -5,8 +5,8 @@
 //! * **Metrics** — process-global, lock-free [`Counter`]s, [`Gauge`]s and
 //!   fixed-bucket [`Histogram`]s, registered by name in a global
 //!   [`Registry`] and acquired with [`counter`], [`gauge`] and
-//!   [`histogram`]. A [`SpanTimer`] wraps a histogram in an RAII guard so a
-//!   scope is timed by merely existing. Everything is atomics: recording
+//!   [`histogram`]. [`Span::record_into`] times a scope into a histogram
+//!   by merely existing. Everything is atomics: recording
 //!   from many threads needs no locks on the hot path. A
 //!   [`WindowedHistogram`] layers sliding-window views (p50/p99/p999 over
 //!   the last ~N seconds) on a cumulative histogram via a ring of
@@ -62,7 +62,7 @@ pub use dashboard::{render_dashboard, Chart, ChartSeries};
 pub use event::{
     emit, events_json, events_quiet, init_events, set_min_level, FieldValue, Level, SinkMode,
 };
-pub use metrics::{Counter, Gauge, Histogram, SpanTimer, DEFAULT_LATENCY_BUCKETS};
+pub use metrics::{Counter, Gauge, Histogram, DEFAULT_LATENCY_BUCKETS};
 pub use registry::{
     counter, describe, gauge, histogram, histogram_with, render_prometheus, snapshot, Registry,
 };

@@ -1,7 +1,6 @@
 //! The atomic metric primitives.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// Default histogram bounds for latencies in seconds: 1 µs … 10 s in a
 /// 1–2.5–5 decade ladder, plus the implicit `+Inf` bucket.
@@ -188,14 +187,6 @@ impl Histogram {
         }
     }
 
-    /// Starts an RAII timer that records its elapsed seconds here on drop.
-    pub fn start_timer(&'static self) -> SpanTimer {
-        SpanTimer {
-            histogram: Some(self),
-            start: Instant::now(),
-        }
-    }
-
     /// The inclusive upper bounds (without `+Inf`).
     pub fn bounds(&self) -> &[f64] {
         &self.bounds
@@ -223,36 +214,6 @@ impl Histogram {
                 .collect(),
             sum: self.sum(),
             count: self.count(),
-        }
-    }
-}
-
-/// RAII span timer: times the scope it lives in and records the elapsed
-/// seconds into its histogram when dropped.
-///
-/// Obtain one from [`Histogram::start_timer`]. [`SpanTimer::stop`] ends the
-/// span early and returns the elapsed seconds.
-#[derive(Debug)]
-pub struct SpanTimer {
-    histogram: Option<&'static Histogram>,
-    start: Instant,
-}
-
-impl SpanTimer {
-    /// Stops the timer now, records the span, and returns its seconds.
-    pub fn stop(mut self) -> f64 {
-        let elapsed = self.start.elapsed().as_secs_f64();
-        if let Some(h) = self.histogram.take() {
-            h.observe(elapsed);
-        }
-        elapsed
-    }
-}
-
-impl Drop for SpanTimer {
-    fn drop(&mut self) {
-        if let Some(h) = self.histogram.take() {
-            h.observe(self.start.elapsed().as_secs_f64());
         }
     }
 }

@@ -290,9 +290,8 @@ impl Span {
     }
 
     /// Additionally records the span's elapsed seconds into the named
-    /// latency histogram on drop — the successor of the flat
-    /// [`SpanTimer`](crate::SpanTimer) pattern, keeping the metric while
-    /// gaining the trace record.
+    /// latency histogram on drop, so one scope yields both the metric and
+    /// the trace record.
     pub fn record_into(mut self, histogram: &'static str) -> Self {
         self.histogram = Some(crate::registry::histogram(histogram));
         self

@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\ndeployed: set point {} → supply {}, total power {}",
         plan.set_point,
-        room.air_state().t_supply,
+        room.air_state().supplies[0],
         room.total_power()
     );
     let hottest = room
