@@ -79,27 +79,9 @@ pub fn scenario_planner(testbed: &Testbed, options: &SweepOptions) -> Planner {
     planner
 }
 
-/// Applies `method` at `load_percent` to the testbed's room and measures it.
-///
-/// Convenience wrapper that builds a throwaway [`Planner`]; sweeps and
-/// studies that run many loads should build one with [`scenario_planner`]
-/// and call [`run_method_with`] instead.
-///
-/// # Errors
-///
-/// Returns [`PolicyError`] when the method cannot plan this load.
-pub fn run_method(
-    testbed: &mut Testbed,
-    method: Method,
-    load_percent: f64,
-    options: &SweepOptions,
-) -> Result<MethodRun, PolicyError> {
-    let planner = scenario_planner(testbed, options);
-    run_method_with(&planner, testbed, method, load_percent, options)
-}
-
-/// Like [`run_method`], but reuses a caller-owned planner (and therefore
-/// its memoized solver engine) instead of building one per run.
+/// Applies `method` at `load_percent` to the testbed's room and measures
+/// it, planning with a caller-owned planner (and therefore its memoized
+/// solver engine); [`scenario_planner`] builds one per testbed.
 ///
 /// # Errors
 ///
@@ -290,7 +272,9 @@ mod tests {
     #[test]
     fn run_method_respects_constraints_and_measures() {
         let mut tb = Testbed::build_sized(4, 11).unwrap();
-        let run = run_method(&mut tb, Method::numbered(8), 50.0, &quick_options()).unwrap();
+        let options = quick_options();
+        let planner = scenario_planner(&tb, &options);
+        let run = run_method_with(&planner, &mut tb, Method::numbered(8), 50.0, &options).unwrap();
         assert!(run.measurement.settled, "run did not settle");
         assert!(run.temps_ok, "max cpu {}", run.measurement.max_cpu_temp);
         assert!(run.throughput_ok);

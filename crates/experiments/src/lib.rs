@@ -40,14 +40,12 @@ pub mod testbed;
 
 pub use dashboard::{emit_dashboard, energy_chart, plant_charts, write_dashboard};
 pub use figures::{FigureData, Series};
-pub use harness::{
-    run_method, run_method_with, run_sweep, scenario_planner, MethodRun, Sweep, SweepOptions,
-};
+pub use harness::{run_method_with, run_sweep, scenario_planner, MethodRun, Sweep, SweepOptions};
 pub use multizone::{
     render_multizone, run_multizone, MultiZoneError, MultiZoneOptions, MultiZoneOutcome,
     VariantOutcome,
 };
-pub use replay::{replay_trace, replay_trace_with, ReplayEngine, ReplayOptions, ReplayOutcome};
+pub use replay::{replay_trace_with, ReplayEngine, ReplayOptions, ReplayOutcome};
 pub use report::{render_figure, to_csv};
 pub use run_report::{
     emit_report, export_flight_dropped, HealthSection, MultiZoneSection, ReplaySection, RunReport,

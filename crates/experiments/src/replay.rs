@@ -1,8 +1,8 @@
 //! Analytic trace replay on the linear-RC transient model.
 //!
-//! [`crate::runtime::run_load_trace`] drives the *numeric* room substrate
-//! step by step — thousands of RK4 sub-steps per replan interval. This
-//! module replays the same controller decisions on the fitted
+//! [`crate::runtime::run_load_trace_with`] drives the *numeric* room
+//! substrate step by step — thousands of RK4 sub-steps per replan
+//! interval. This module replays the same controller decisions on the fitted
 //! [`RcNetwork`] instead: between control events the network is LTI, so an
 //! exact-step [`Propagator`](coolopt_sim::Propagator) crosses a whole
 //! recording interval with one matrix–vector product, and a
@@ -22,12 +22,9 @@
 use crate::runtime::TracePoint;
 use coolopt_alloc::{AllocationPlan, Method, Planner, PolicyError};
 use coolopt_model::{RcNetwork, RcParams, RoomModel};
-use coolopt_sim::{
-    Integrator, LinearDynamics, LinearOde, PropagatorCache, Rk4, SimScratch, SoaRecorder,
-    TimeSeries,
-};
+use coolopt_sim::{Integrator, LinearDynamics, LinearOde, PropagatorCache, Rk4, SimScratch};
 use coolopt_telemetry as telemetry;
-use coolopt_units::{Joules, Seconds, TempDelta, Temperature, Watts};
+use coolopt_units::{Joules, Seconds, Temperature, Watts};
 use serde::{Deserialize, Serialize};
 
 /// How the replay advances the RC state across a recording step.
@@ -45,12 +42,10 @@ pub enum ReplayEngine {
 pub struct ReplayOptions {
     /// Replan at least this often, even if demand has not changed.
     pub replan_interval: Seconds,
-    /// Sampling resolution: temperatures are checked and power recorded at
-    /// this granularity, and control events take effect on its boundaries.
+    /// Sampling resolution: temperatures are checked and energy integrated
+    /// at this granularity, and control events take effect on its
+    /// boundaries.
     pub record_every: Seconds,
-    /// Guard band for the planner built by [`replay_trace`]'s convenience
-    /// wrapper; ignored when a caller-owned planner is supplied.
-    pub guard: TempDelta,
     /// Transient constants of the RC network.
     pub params: RcParams,
     /// The stepping engine.
@@ -62,7 +57,6 @@ impl Default for ReplayOptions {
         ReplayOptions {
             replan_interval: Seconds::new(900.0),
             record_every: Seconds::new(10.0),
-            guard: coolopt_alloc::plan::DEFAULT_GUARD,
             params: RcParams::default(),
             engine: ReplayEngine::Exact,
         }
@@ -92,8 +86,6 @@ pub struct ReplayOutcome {
     pub propagators_built: usize,
     /// Propagator lookups served from the cache (exact engine only).
     pub propagator_hits: u64,
-    /// Recorded total-power series.
-    pub power_series: TimeSeries,
 }
 
 /// Fills `powers` with each machine's modeled draw under `plan` (zero for
@@ -106,8 +98,11 @@ fn plan_powers(model: &RoomModel, plan: &AllocationPlan, powers: &mut Vec<f64>) 
     }
 }
 
-/// Replays `trace` under `method` on the fitted transient model, using a
-/// planner built from `model` with `options.guard`.
+/// Replays `trace` under `method` on the fitted transient model, planning
+/// with a caller-owned `planner` (whose guard band applies, and whose
+/// memoized solver engine is reused). `model` should be the *unguarded*
+/// fitted model — it parameterizes the RC network and supplies the true
+/// `T_max`.
 ///
 /// # Errors
 ///
@@ -120,30 +115,6 @@ fn plan_powers(model: &RoomModel, plan: &AllocationPlan, powers: &mut Vec<f64>) 
 /// Panics if `trace` is empty or not time-sorted, `total` or
 /// `options.record_every` is not positive, or the fitted model is not
 /// RC-representable (some `β_i ≤ 1/g`; see [`RcNetwork::new`]).
-pub fn replay_trace(
-    model: &RoomModel,
-    set_points: &coolopt_cooling::SetPointTable,
-    method: Method,
-    trace: &[TracePoint],
-    total: Seconds,
-    options: &ReplayOptions,
-) -> Result<ReplayOutcome, PolicyError> {
-    let planner = Planner::with_guard(model, set_points, options.guard);
-    replay_trace_with(&planner, model, method, trace, total, options)
-}
-
-/// Like [`replay_trace`], but reuses a caller-owned planner (and its
-/// memoized solver engine). `options.guard` is ignored; the planner's own
-/// guard applies. `model` should be the *unguarded* fitted model — it
-/// parameterizes the RC network and supplies the true `T_max`.
-///
-/// # Errors
-///
-/// Returns [`PolicyError`] only if the *initial* plan fails.
-///
-/// # Panics
-///
-/// As [`replay_trace`].
 pub fn replay_trace_with(
     planner: &Planner,
     model: &RoomModel,
@@ -190,7 +161,6 @@ pub fn replay_trace_with(
     let mut ode = LinearOde::new(&net);
 
     let steps = (total_s / h).ceil() as usize;
-    let mut recorder = SoaRecorder::new(1, 1, steps + 1);
     let mut energy = Joules::ZERO;
     let mut violation_seconds = 0.0;
     let mut max_cpu = f64::NEG_INFINITY;
@@ -224,7 +194,6 @@ pub fn replay_trace_with(
         let computing: f64 = powers.iter().sum();
         let cooling = model.cooling().predict(current.t_ac_target).as_watts();
         let power = computing + cooling;
-        recorder.offer(Seconds::new(now), &[power]);
         energy += Watts::new(power) * Seconds::new(step_len);
 
         match options.engine {
@@ -268,7 +237,6 @@ pub fn replay_trace_with(
         plan_failures,
         propagators_built: cache.builds() as usize,
         propagator_hits: cache.hits(),
-        power_series: recorder.to_series(0),
     })
 }
 
@@ -347,7 +315,6 @@ mod tests {
         assert_eq!(exact.replans, rk4.replans);
         assert_eq!(exact.plan_failures, rk4.plan_failures);
         assert_eq!(exact.energy, rk4.energy);
-        assert_eq!(exact.power_series, rk4.power_series);
         // …and the exact-step states agree with the tiny-step oracle.
         assert!(
             (exact.max_cpu.as_kelvin() - rk4.max_cpu.as_kelvin()).abs() < 1e-5,
@@ -386,7 +353,6 @@ mod tests {
         );
         assert_eq!(outcome.plan_failures, 0);
         assert!(outcome.mean_power.as_watts() > 0.0);
-        assert_eq!(outcome.power_series.len(), 360);
         assert!(outcome.max_cpu.as_celsius() > 25.0);
     }
 

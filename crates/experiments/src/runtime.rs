@@ -12,9 +12,9 @@
 
 use crate::testbed::Testbed;
 use coolopt_alloc::{AllocationPlan, Method, Planner, PolicyError};
-use coolopt_sim::{HealthConfig, HealthReport, ModelHealthMonitor, SoaRecorder, TimeSeries};
+use coolopt_sim::{HealthConfig, HealthReport, ModelHealthMonitor};
 use coolopt_telemetry as telemetry;
-use coolopt_units::{Joules, Seconds, TempDelta, Watts};
+use coolopt_units::{Joules, Seconds, Watts};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -80,9 +80,8 @@ pub struct RuntimeOptions {
     /// Replan at least this often, even if demand has not changed (tracks
     /// drift).
     pub replan_interval: Seconds,
-    /// Guard band for the inner planner.
-    pub guard: TempDelta,
-    /// Record the power series at this granularity.
+    /// Sampling cadence of the watchdog's residuals and of the
+    /// time-series store's plant series.
     pub record_every: Seconds,
     /// Model-health watchdog tuning (residual drift detection and
     /// `T_max`-margin monitoring). Residual samples are taken at the
@@ -102,7 +101,6 @@ impl Default for RuntimeOptions {
     fn default() -> Self {
         RuntimeOptions {
             replan_interval: Seconds::new(900.0),
-            guard: coolopt_alloc::plan::DEFAULT_GUARD,
             record_every: Seconds::new(10.0),
             health: HealthConfig::default(),
             tsdb_prefix: None,
@@ -152,8 +150,6 @@ pub struct TraceOutcome {
     pub replans: usize,
     /// Number of planning attempts that failed (previous plan kept).
     pub plan_failures: usize,
-    /// Recorded total-power series.
-    pub power_series: TimeSeries,
     /// Model-health watchdog verdict. Every run fills it; it stays an
     /// `Option` so documents without the field still deserialize.
     #[serde(default)]
@@ -161,41 +157,15 @@ pub struct TraceOutcome {
 }
 
 /// Drives the testbed's room through `trace` under `method`, replanning
-/// online.
+/// online with `planner` (whose guard band applies). Several trace runs,
+/// e.g. one per method in an ablation, can share one planner and its
+/// memoized solver engine; [`crate::scenario_planner`] builds it.
 ///
 /// # Errors
 ///
 /// Returns [`PolicyError`] only if the *initial* plan fails; later failures
 /// keep the previous plan running and are counted in
 /// [`TraceOutcome::plan_failures`].
-///
-/// # Panics
-///
-/// Panics if `trace` is empty or not time-sorted.
-pub fn run_load_trace(
-    testbed: &mut Testbed,
-    method: Method,
-    trace: &[TracePoint],
-    total: Seconds,
-    options: &RuntimeOptions,
-) -> Result<TraceOutcome, PolicyError> {
-    let planner = Planner::with_guard(
-        &testbed.profile.model,
-        &testbed.profile.cooling.set_points,
-        options.guard,
-    );
-    run_load_trace_with(&planner, testbed, method, trace, total, options)
-}
-
-/// Like [`run_load_trace`], but reuses a caller-owned planner so several
-/// trace runs (e.g. one per method in an ablation) share one memoized
-/// solver engine. `options.guard` is ignored; the planner's own guard
-/// applies.
-///
-/// # Errors
-///
-/// Returns [`PolicyError`] only if the *initial* plan fails, as with
-/// [`run_load_trace`].
 ///
 /// # Panics
 ///
@@ -298,13 +268,11 @@ pub fn run_load_trace_with(
     let mut requested = 0.0;
     let mut violation_seconds = 0.0;
     let mut min_margin_kelvin = f64::INFINITY;
-    // Power is recorded into a preallocated SoA column with decimation:
-    // every step offers a sample, the recorder keeps one per
-    // `record_every` without growing or branching on wall-clock time.
+    // Sampled work (watchdog residuals, tsdb series) runs every `every`
+    // steps, i.e. once per `record_every` of simulated time.
     let every = (options.record_every.as_secs_f64() / dt.as_secs_f64())
         .round()
         .max(1.0) as usize;
-    let mut recorder = SoaRecorder::new(1, every, steps / every + 1);
     // One span covers each run of uninterrupted sim steps between replans,
     // so the trace shows plan → replan → step causality without emitting a
     // record per step (which would flush everything else out of the ring).
@@ -394,7 +362,7 @@ pub fn run_load_trace_with(
         if settled {
             health.observe_margin(now, t_max.as_kelvin() - hottest);
         }
-        // Residual samples additionally follow the recorder cadence.
+        // Residual samples additionally follow the sampling cadence.
         if settled && k % every == 0 {
             for (i, s) in testbed.room.servers().iter().enumerate() {
                 let pred = predicted[i];
@@ -418,7 +386,6 @@ pub fn run_load_trace_with(
                 );
             }
         }
-        recorder.offer(now, &[p.as_watts()]);
     }
     close_window(&mut window, &mut window_steps);
     trace_span.set_attr("replans", replans);
@@ -455,7 +422,6 @@ pub fn run_load_trace_with(
         },
         replans,
         plan_failures,
-        power_series: recorder.to_series(0),
         health: Some(health.finish()),
     })
 }
@@ -511,6 +477,7 @@ mod tests {
     #[test]
     fn replanning_controller_tracks_a_varying_load() {
         let mut tb = Testbed::build_sized(4, 37).unwrap();
+        let planner = crate::scenario_planner(&tb, &crate::SweepOptions::default());
         let trace = vec![
             TracePoint {
                 at: Seconds::ZERO,
@@ -521,7 +488,8 @@ mod tests {
                 load: 3.0,
             },
         ];
-        let outcome = run_load_trace(
+        let outcome = run_load_trace_with(
+            &planner,
             &mut tb,
             Method::numbered(8),
             &trace,
@@ -539,19 +507,13 @@ mod tests {
             outcome.served_fraction * 100.0
         );
         assert!(outcome.energy.as_joules() > 0.0);
-        assert!(!outcome.power_series.is_empty());
-        // Power after the step up must exceed power before it.
-        let late = outcome.power_series.after(Seconds::new(4000.0));
-        let before = outcome.power_series.after(Seconds::new(1500.0));
-        let _ = before;
-        let late_mean = late.stats().unwrap().mean;
-        let early_series: Vec<f64> = outcome
-            .power_series
-            .iter()
-            .filter(|(t, _)| t.as_secs_f64() > 1500.0 && t.as_secs_f64() < 2400.0)
-            .map(|(_, v)| v)
-            .collect();
-        let early_mean = early_series.iter().sum::<f64>() / early_series.len() as f64;
+        // Mean power over the plateau after the step up must exceed the
+        // mean over the one before it (each plateau lasts 2500 s).
+        let mean_watts = |s: &SegmentEnergy| (s.computing + s.cooling).as_joules() / 2500.0;
+        let [early, late] = &outcome.segments[..] else {
+            panic!("one segment per plateau: {:?}", outcome.segments);
+        };
+        let (early_mean, late_mean) = (mean_watts(early), mean_watts(late));
         assert!(
             late_mean > early_mean + 50.0,
             "power should rise after the demand step: {early_mean} → {late_mean}"

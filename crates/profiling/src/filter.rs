@@ -4,7 +4,6 @@
 //! eliminate noise" before plotting and regression. Both the single-pole IIR
 //! filter and a centered moving average are provided.
 
-use coolopt_sim::TimeSeries;
 use coolopt_units::Seconds;
 
 /// A single-pole IIR low-pass filter `y += a·(x − y)`.
@@ -51,11 +50,6 @@ impl LowPassFilter {
         };
         self.state = Some(y);
         y
-    }
-
-    /// Filters a whole series, preserving time stamps.
-    pub fn apply_series(&mut self, series: &TimeSeries) -> TimeSeries {
-        series.iter().map(|(t, v)| (t, self.apply(v))).collect()
     }
 
     /// Clears the filter state.
@@ -112,14 +106,6 @@ mod tests {
     fn time_constant_construction() {
         let f = LowPassFilter::with_time_constant(Seconds::new(9.0), Seconds::new(1.0));
         assert!((f.alpha - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn series_filtering_preserves_timestamps() {
-        let series: TimeSeries = (0..5).map(|k| (Seconds::new(k as f64), k as f64)).collect();
-        let out = LowPassFilter::new(1.0).apply_series(&series);
-        assert_eq!(out.times(), series.times());
-        assert_eq!(out.values(), series.values()); // alpha = 1 is identity
     }
 
     #[test]

@@ -88,7 +88,7 @@ pub type BatchOutcome = Result<Vec<Option<Consolidation>>, SolveError>;
 /// `queue_wait` is batch start minus this submission's join (how long its
 /// loads sat filling / awaiting the run token); `run` is the shared
 /// plan-and-publish time of the batch that served it. The split is what
-/// the per-tenant windowed histograms and the `stats` scrape report —
+/// each tenant's window ring and the `stats` scrape report —
 /// queue-wait grows under contention, run grows with engine cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchMeta {

@@ -17,32 +17,12 @@ use std::time::Instant;
 pub const BATCH_SIZE_BUCKET_COUNT: usize = 12;
 
 /// Service-wide configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServiceConfig {
     /// Per-tenant admission limits.
     pub coalesce: CoalesceConfig,
-    /// Registry shard count (rounded up to a power of two).
-    pub shards: usize,
     /// Default SLO for tenants whose scenario declares no override.
     pub slo: SloPolicy,
-    /// Sliding-window length for latency/SLO accounting, in seconds
-    /// (must be positive and finite).
-    pub slo_window_seconds: f64,
-    /// Windows retained per tenant (the fast burn view is the newest
-    /// window, the slow view all of them; must be ≥ 1).
-    pub slo_windows: usize,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        ServiceConfig {
-            coalesce: CoalesceConfig::default(),
-            shards: 16,
-            slo: SloPolicy::default(),
-            slo_window_seconds: 10.0,
-            slo_windows: 6,
-        }
-    }
 }
 
 /// The service-wide counters: the one place plans, batches, coalesced
@@ -180,7 +160,7 @@ impl ServiceCore {
     pub fn new(config: ServiceConfig) -> Self {
         ServiceCore {
             config,
-            registry: TenantRegistry::new(config.shards),
+            registry: TenantRegistry::default(),
             stats: Arc::new(ServiceStats::default()),
             started: Instant::now(),
         }

@@ -36,9 +36,9 @@
 //!   flight-recorder spans.
 //! * The **observability plane** — every submission's latency is split
 //!   into *queue wait* (join → batch start) and *run* (batch start →
-//!   publish) and recorded into per-tenant sliding-window histograms;
-//!   a per-tenant SLO engine ([`slo`]) does error-budget and
-//!   multi-window burn-rate accounting against the tenant's declared
+//!   publish) and recorded, with its SLO attempts and bad outcomes, into
+//!   one per-tenant ring of windows ([`slo`]), which does error-budget
+//!   and multi-window burn-rate accounting against the tenant's declared
 //!   [`SloPolicy`] (service default or the scenario's policy block),
 //!   raising `warn`-level events with tail-sampled exemplar span ids on
 //!   sustained burn. A live service answers in-protocol `stats`

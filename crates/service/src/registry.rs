@@ -15,31 +15,30 @@ use std::sync::{Arc, Mutex};
 
 type Shard = Mutex<Arc<HashMap<u64, Arc<Tenant>>>>;
 
+/// Registry shards: a registration or eviction locks one of them.
+const SHARDS: usize = 16;
+
 /// The sharded map `tenant id → tenant`. Ids come from key strings (and,
 /// for scenario tenants, content-hash aliases), so one tenant may be
 /// reachable under more than one id.
 #[derive(Debug)]
 pub struct TenantRegistry {
-    shards: Vec<Shard>,
-    mask: u64,
+    shards: [Shard; SHARDS],
+}
+
+impl Default for TenantRegistry {
+    /// An empty registry.
+    fn default() -> Self {
+        TenantRegistry {
+            shards: std::array::from_fn(|_| Mutex::new(Arc::new(HashMap::new()))),
+        }
+    }
 }
 
 impl TenantRegistry {
-    /// A registry with `shards` shards (rounded up to a power of two, at
-    /// least one).
-    pub fn new(shards: usize) -> Self {
-        let count = shards.max(1).next_power_of_two();
-        TenantRegistry {
-            shards: (0..count)
-                .map(|_| Mutex::new(Arc::new(HashMap::new())))
-                .collect(),
-            mask: count as u64 - 1,
-        }
-    }
-
     fn shard(&self, id: TenantId) -> &Shard {
         // The id is an FNV-1a hash, so its low bits are already mixed.
-        &self.shards[(id.raw() & self.mask) as usize]
+        &self.shards[(id.raw() % SHARDS as u64) as usize]
     }
 
     /// The tenant registered under `id`, if any.

@@ -3,17 +3,19 @@
 //! [`ServiceCore::stats_doc`] freezes the whole observability plane into
 //! one serializable [`ServiceStatsDoc`]: the service counters with their
 //! derived rates, the flight recorder's drop count, and one row per
-//! tenant carrying windowed queue-wait/run quantiles and the SLO verdict. This is what the in-protocol `stats` command returns and what
+//! tenant carrying windowed queue-wait/run quantiles and the SLO verdict.
+//! This is what the in-protocol `stats` command returns and what
 //! `coolopt-serve --stats-every` prints, so a live service is scrapeable
 //! over the same wire that carries planning traffic.
 //!
-//! The snapshot is built entirely from atomics, per-tenant windowed
-//! histograms and short per-tenant locks — safe concurrent with planning
-//! traffic, re-registration and eviction; each tenant row is internally
-//! consistent (counters may advance between rows, never inside one field).
+//! The snapshot is built entirely from atomics, each tenant's window ring
+//! and short per-tenant locks — safe concurrent with planning traffic,
+//! re-registration and eviction. A tenant row reads its latency and its
+//! verdict from the same windows at one instant (counters may advance
+//! between rows, never inside one field).
 
 use crate::core::{ServiceCore, StatsSnapshot};
-use crate::slo::SloVerdict;
+use crate::slo::{SloVerdict, WINDOWS, WINDOW_SECONDS};
 use crate::tenant::Tenant;
 use coolopt_telemetry as telemetry;
 use serde::Serialize;
@@ -80,11 +82,14 @@ pub struct TenantStatsDoc {
 }
 
 impl TenantStatsDoc {
-    fn of(tenant: &Tenant, windows: usize) -> Self {
+    fn of(tenant: &Tenant) -> Self {
         let (machines, engine) = match tenant.snapshot() {
             Some(snapshot) => (snapshot.machine_count(), snapshot.engine_name().to_string()),
             None => (0, "none".to_string()),
         };
+        let slo = tenant.slo();
+        let at_ns = slo.elapsed_ns();
+        let (queue_wait, run) = slo.latency_at_ns(at_ns);
         TenantStatsDoc {
             key: tenant.key().to_string(),
             id: tenant.id().to_string(),
@@ -92,9 +97,9 @@ impl TenantStatsDoc {
             engine,
             generation: tenant.generation(),
             queued: tenant.queued(),
-            queue_wait: LatencyDoc::from_snapshot(&tenant.queue_wait_windowed(windows)),
-            run: LatencyDoc::from_snapshot(&tenant.run_windowed(windows)),
-            slo: tenant.slo_verdict(),
+            queue_wait: LatencyDoc::from_snapshot(&queue_wait),
+            run: LatencyDoc::from_snapshot(&run),
+            slo: slo.verdict_at_ns(at_ns),
         }
     }
 }
@@ -108,9 +113,10 @@ pub struct ServiceStatsDoc {
     pub metrics_enabled: bool,
     /// Seconds since the service core was constructed.
     pub uptime_seconds: f64,
-    /// Seconds per sliding window.
+    /// Seconds per window of each tenant's ring (always 10).
     pub window_seconds: f64,
-    /// Windows retained per tenant.
+    /// Windows in each tenant's ring (always 6): the span of the latency
+    /// quantiles and of the slow burn view.
     pub windows: usize,
     /// The service counters.
     pub totals: StatsSnapshot,
@@ -129,19 +135,18 @@ impl ServiceCore {
     /// payload of the wire `stats` command and the `--stats-every` line.
     pub fn stats_doc(&self) -> ServiceStatsDoc {
         let totals = self.stats().snapshot();
-        let windows = self.config().slo_windows;
         let mut tenants: Vec<TenantStatsDoc> = self
             .tenants()
             .iter()
-            .map(|t| TenantStatsDoc::of(t, windows))
+            .map(|t| TenantStatsDoc::of(t))
             .collect();
         tenants.sort_by(|a, b| a.key.cmp(&b.key));
         ServiceStatsDoc {
             schema: SERVICE_STATS_SCHEMA.to_string(),
             metrics_enabled: telemetry::metrics_enabled(),
             uptime_seconds: self.uptime_seconds(),
-            window_seconds: self.config().slo_window_seconds,
-            windows,
+            window_seconds: WINDOW_SECONDS,
+            windows: WINDOWS,
             mean_batch_size: totals.mean_batch_size(),
             shed_rate: totals.shed_rate(),
             totals,

@@ -124,20 +124,8 @@ pub struct Tenant {
     /// alias id derived from it, so re-registration can retire the stale
     /// alias.
     content: Mutex<ContentMeta>,
-    /// Windowed latency attribution + SLO accounting.
-    obs: TenantObs,
-}
-
-/// Per-tenant observability state: windowed queue-wait/run histograms
-/// and the [`SloState`], whose attempts are the tenant's one count of
-/// submitted loads.
-#[derive(Debug)]
-struct TenantObs {
-    /// Join → batch start, per load, over the sliding window.
-    queue_wait: telemetry::WindowedHistogram,
-    /// Batch start → answers published, per load, over the sliding window.
-    run: telemetry::WindowedHistogram,
-    /// Error-budget / burn-rate accounting.
+    /// The window ring: SLO accounting and queue-wait/run latency. Its
+    /// attempts are the tenant's one count of submitted loads.
     slo: SloState,
 }
 
@@ -154,31 +142,13 @@ impl Tenant {
     /// overrides it per the scenario's policy block.
     pub(crate) fn new(key: &str, config: &ServiceConfig, stats: Arc<ServiceStats>) -> Self {
         let id = TenantId::of(key);
-        let obs = TenantObs {
-            queue_wait: telemetry::WindowedHistogram::new(
-                telemetry::DEFAULT_LATENCY_BUCKETS,
-                config.slo_window_seconds,
-                config.slo_windows,
-            ),
-            run: telemetry::WindowedHistogram::new(
-                telemetry::DEFAULT_LATENCY_BUCKETS,
-                config.slo_window_seconds,
-                config.slo_windows,
-            ),
-            slo: SloState::new(
-                key,
-                config.slo,
-                config.slo_window_seconds,
-                config.slo_windows,
-            ),
-        };
         Tenant {
             id,
             key: key.to_string(),
             cell: SnapshotCell::new(),
             coalescer: Coalescer::new(config.coalesce, stats, id.raw()),
             content: Mutex::new(ContentMeta::default()),
-            obs,
+            slo: SloState::new(key, config.slo),
         }
     }
 
@@ -305,27 +275,15 @@ impl Tenant {
             Ok(v) => v,
             Err(e) => {
                 if matches!(e, ServiceError::Overloaded { .. }) {
-                    self.obs
-                        .slo
-                        .record_shed(self.obs.slo.elapsed_ns(), loads.len() as u64);
+                    self.slo
+                        .record_shed(self.slo.elapsed_ns(), loads.len() as u64);
                 }
                 return Err(e);
             }
         };
         let elapsed = begin.elapsed().as_secs_f64();
-        let n = loads.len() as u64;
-        if let Some(meta) = meta {
-            self.obs
-                .queue_wait
-                .observe_n(meta.queue_wait.as_secs_f64(), n);
-            self.obs.run.observe_n(meta.run.as_secs_f64(), n);
-        }
-        self.obs.slo.record_served(
-            self.obs.slo.elapsed_ns(),
-            n,
-            elapsed,
-            meta.map_or(0, |m| m.span_id),
-        );
+        self.slo
+            .record_served(self.slo.elapsed_ns(), loads.len() as u64, elapsed, meta);
         telemetry::histogram("coolopt_service_reply_seconds").observe(elapsed);
         Ok(results)
     }
@@ -363,36 +321,24 @@ impl Tenant {
 
     /// The tenant's current SLO policy.
     pub fn slo_policy(&self) -> SloPolicy {
-        self.obs.slo.policy()
+        self.slo.policy()
     }
 
     /// Replaces the SLO policy; applies to subsequent accounting (the
     /// windows already recorded keep their old verdicts' raw counts).
     pub fn set_slo(&self, policy: SloPolicy) {
-        self.obs.slo.set_policy(policy);
+        self.slo.set_policy(policy);
     }
 
     /// Evaluates the tenant's SLO now: burn rates over the fast and slow
     /// windows, alert state, totals and tail-sampled exemplars.
     pub fn slo_verdict(&self) -> SloVerdict {
-        self.obs.slo.verdict()
+        self.slo.verdict()
     }
 
-    /// The sliding-window span (seconds per window, window count) this
-    /// tenant accounts over.
-    pub fn slo_window(&self) -> (f64, usize) {
-        (self.obs.slo.window_seconds(), self.obs.slo.windows())
-    }
-
-    /// Windowed queue-wait latency (join → batch start) over the last
-    /// `windows` windows.
-    pub fn queue_wait_windowed(&self, windows: usize) -> telemetry::HistogramSnapshot {
-        self.obs.queue_wait.windowed(windows)
-    }
-
-    /// Windowed batch-run latency (batch start → publish) over the last
-    /// `windows` windows.
-    pub fn run_windowed(&self, windows: usize) -> telemetry::HistogramSnapshot {
-        self.obs.run.windowed(windows)
+    /// The tenant's window ring, for reads of its latency and its verdict
+    /// at one instant.
+    pub(crate) fn slo(&self) -> &SloState {
+        &self.slo
     }
 }

@@ -13,7 +13,6 @@
 //!   intervals of the room's thermal network;
 //! * [`scratch`] — reusable state-sized buffers so hot loops never touch the
 //!   allocator;
-//! * [`trace`] — time-series recording with summary statistics;
 //! * [`noise`] — deterministic, seeded Gaussian and Ornstein–Uhlenbeck noise
 //!   sources used to emulate sensor and physical-process noise;
 //! * [`steady`] — a windowed trend detector for steady state (the paper
@@ -52,7 +51,6 @@ pub mod noise;
 pub mod ode;
 pub mod scratch;
 pub mod steady;
-pub mod trace;
 
 pub use clock::SimClock;
 pub use health::{HealthConfig, HealthReport, MachineHealth, MarginLevel, ModelHealthMonitor};
@@ -61,4 +59,3 @@ pub use noise::{GaussianNoise, OrnsteinUhlenbeck};
 pub use ode::{Dynamics, ForwardEuler, Integrator, Rk4};
 pub use scratch::SimScratch;
 pub use steady::TrendDetector;
-pub use trace::{SoaRecorder, TimeSeries, TraceStats};

@@ -7,10 +7,7 @@
 //!   [`Registry`] and acquired with [`counter`], [`gauge`] and
 //!   [`histogram`]. [`Span::record_into`] times a scope into a histogram
 //!   by merely existing. Everything is atomics: recording
-//!   from many threads needs no locks on the hot path. A
-//!   [`WindowedHistogram`] layers sliding-window views (p50/p99/p999 over
-//!   the last ~N seconds) on a cumulative histogram via a ring of
-//!   boundary snapshots and the merge/minus snapshot algebra.
+//!   from many threads needs no locks on the hot path.
 //! * **Export** — [`snapshot`] freezes the registry into a plain
 //!   [`RegistrySnapshot`] that renders to a schema-stable JSON document
 //!   ([`RegistrySnapshot::to_json`]), Prometheus text exposition
@@ -56,7 +53,6 @@ mod metrics;
 mod registry;
 mod tracing;
 mod tsdb;
-mod window;
 
 pub use dashboard::{render_dashboard, Chart, ChartSeries};
 pub use event::{
@@ -78,7 +74,6 @@ pub use tsdb::{dashboard_charts, sample_registry_into, tsdb, Collector, Collecto
 pub use tsdbfmt::{
     aggregate, wall_ms, Agg, QueryResult, RangeQuery, SeriesStats, TsdbConfig, TsdbStats,
 };
-pub use window::WindowedHistogram;
 
 /// Always `true`: the metrics core is compiled into every build.
 ///

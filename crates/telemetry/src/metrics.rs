@@ -187,6 +187,18 @@ impl Histogram {
         }
     }
 
+    /// Zeroes every bucket, the count and the sum. A sample recorded
+    /// concurrently may survive only in part (say, its bucket but not
+    /// its count); callers that reuse a histogram for a new interval keep
+    /// recorders out while they clear it.
+    pub fn clear(&self) {
+        for c in self.counts.iter() {
+            c.store(0, Ordering::Relaxed);
+        }
+        self.sum_bits.store(0, Ordering::Relaxed);
+        self.count.store(0, Ordering::Relaxed);
+    }
+
     /// The inclusive upper bounds (without `+Inf`).
     pub fn bounds(&self) -> &[f64] {
         &self.bounds

@@ -13,7 +13,9 @@
 //! then publishes an even ticket. A snapshot reads the sequence before and
 //! after copying the record and discards torn slots; a writer that finds
 //! another writer mid-flight in a lapped slot drops its record instead of
-//! racing (counted, surfaced as [`TraceSnapshot::dropped`]).
+//! racing. Every slot still ends up holding one record, so the records
+//! lost to laps and to contention together are exactly those written
+//! beyond the ring's capacity, surfaced as [`TraceSnapshot::dropped`].
 
 use crate::metrics::Histogram;
 use crate::tracefmt::{Attr, RecordKind, TraceRecord, TraceSnapshot};
@@ -65,7 +67,6 @@ struct Slot {
 pub(crate) struct FlightRecorder {
     slots: Box<[Slot]>,
     head: AtomicU64,
-    contended_drops: AtomicU64,
 }
 
 // SAFETY: slot data is only read/written under the seq protocol — a slot's
@@ -84,7 +85,6 @@ impl FlightRecorder {
                 })
                 .collect(),
             head: AtomicU64::new(0),
-            contended_drops: AtomicU64::new(0),
         }
     }
 
@@ -98,8 +98,8 @@ impl FlightRecorder {
         if prev & 1 == 1 {
             // A lapped writer is mid-flight in this very slot. Writing now
             // would race on the datum; drop this record instead (the other
-            // writer's publish supersedes our claim ticket).
-            self.contended_drops.fetch_add(1, Ordering::Relaxed);
+            // writer's publish supersedes our claim ticket, and the slot
+            // keeps its record, so `dropped` already counts this one).
             return;
         }
         // SAFETY: the odd claim ticket excludes other writers until the
@@ -136,18 +136,17 @@ impl FlightRecorder {
             });
         }
         records.sort_by_key(|r| (r.start_ns, r.id));
-        let written = self.head.load(Ordering::Relaxed);
-        let lapped = written.saturating_sub(self.slots.len() as u64);
         TraceSnapshot {
             records,
-            dropped: lapped + self.contended_drops.load(Ordering::Relaxed),
+            dropped: self.dropped(),
         }
     }
 
+    /// Records written beyond the ring's capacity: each one was either
+    /// overwritten by a later lap or dropped under contention.
     fn dropped(&self) -> u64 {
         let written = self.head.load(Ordering::Relaxed);
-        let lapped = written.saturating_sub(self.slots.len() as u64);
-        lapped + self.contended_drops.load(Ordering::Relaxed)
+        written.saturating_sub(self.slots.len() as u64)
     }
 
     fn reset(&self) {
@@ -158,7 +157,6 @@ impl FlightRecorder {
             slot.seq.store(0, Ordering::Release);
         }
         self.head.store(0, Ordering::Release);
-        self.contended_drops.store(0, Ordering::Release);
     }
 }
 
@@ -374,9 +372,10 @@ pub fn flight_snapshot() -> TraceSnapshot {
     recorder().snapshot()
 }
 
-/// The flight recorder's dropped-record count (lapped + contended), read
-/// without cloning the ring — cheap enough for periodic scrapes and run
-/// reports. Zero when no recorder was ever touched.
+/// The flight recorder's dropped-record count (records written beyond
+/// the ring's capacity, lapped or contended), read without cloning the
+/// ring — cheap enough for periodic scrapes and run reports. Zero when no
+/// recorder was ever touched.
 pub fn flight_dropped() -> u64 {
     RECORDER.get().map_or(0, FlightRecorder::dropped)
 }
@@ -421,6 +420,36 @@ mod tests {
         let snap = ring.snapshot();
         assert!(snap.records.is_empty());
         assert_eq!(snap.dropped, 0);
+    }
+
+    #[test]
+    fn a_contended_drop_is_counted_once() {
+        let ring = FlightRecorder::with_capacity(16);
+        let capacity = ring.slots.len() as u64;
+        // Park a writer mid-flight: take ticket 0 and claim slot 0's odd
+        // ticket exactly as `write` does, without publishing yet.
+        let parked = ring.head.fetch_add(1, Ordering::Relaxed);
+        let slot = &ring.slots[0];
+        let publish = (parked + 1) << 1;
+        assert_eq!(slot.seq.swap(publish | 1, Ordering::Acquire), 0);
+        // One full lap: the writer that lands on slot 0 again finds it
+        // mid-flight and drops its record.
+        for i in 1..=capacity {
+            ring.write(raw(i + 1, i * 100));
+        }
+        // SAFETY: this thread holds slot 0's odd claim ticket.
+        unsafe { *slot.data.get() = raw(1, 0) };
+        slot.seq.store(publish, Ordering::Release);
+
+        let written = capacity + 1;
+        let snap = ring.snapshot();
+        assert_eq!(snap.records.len() as u64, capacity);
+        assert!(
+            snap.records.iter().any(|r| r.id == 1),
+            "slot 0 kept the parked record"
+        );
+        assert_eq!(snap.dropped, written - capacity);
+        assert_eq!(ring.dropped(), written - capacity);
     }
 
     #[test]

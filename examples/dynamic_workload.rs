@@ -13,8 +13,8 @@
 //! ```
 
 use coolopt::alloc::Method;
-use coolopt::experiments::runtime::{run_load_trace, sinusoidal_trace, RuntimeOptions};
-use coolopt::experiments::Testbed;
+use coolopt::experiments::runtime::{run_load_trace_with, sinusoidal_trace, RuntimeOptions};
+use coolopt::experiments::{scenario_planner, SweepOptions, Testbed};
 use coolopt::units::Seconds;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,6 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .fold(f64::NEG_INFINITY, f64::max),
     );
 
+    // One planner (one solver engine) serves all three methods.
+    let planner = scenario_planner(&testbed, &SweepOptions::default());
     let options = RuntimeOptions::default();
     let mut baseline_energy = None;
     for (label, method) in [
@@ -43,7 +45,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("replanned even (#4)", Method::numbered(4)),
         ("replanned holistic (#8)", Method::numbered(8)),
     ] {
-        let outcome = run_load_trace(&mut testbed, method, &trace, horizon, &options)?;
+        let outcome =
+            run_load_trace_with(&planner, &mut testbed, method, &trace, horizon, &options)?;
         let saving = baseline_energy
             .map(|base: f64| 100.0 * (base - outcome.energy.as_kwh()) / base)
             .map(|s| format!("{s:+.1} % vs static"))
