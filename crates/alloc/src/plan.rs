@@ -103,7 +103,6 @@ impl AllocationPlan {
 pub struct Planner {
     model: RoomModel,
     set_points: SetPointTable,
-    t_ac_floor: Temperature,
     guard: TempDelta,
     fingerprint: ModelFingerprint,
     engine: SnapshotCell,
@@ -111,6 +110,10 @@ pub struct Planner {
 
 /// Default guard band between the true `T_max` and the planning target.
 pub const DEFAULT_GUARD: TempDelta = TempDelta::from_kelvin(2.0);
+
+/// Coldest supply temperature a plan may require (°C): a typical coil
+/// limit.
+const SUPPLY_FLOOR_CELSIUS: f64 = 8.0;
 
 impl Planner {
     /// Creates a planner with an 8 °C supply floor (typical coil limit) and
@@ -126,16 +129,9 @@ impl Planner {
             fingerprint: ModelFingerprint::of_model(&guarded),
             model: guarded,
             set_points: set_points.clone(),
-            t_ac_floor: Temperature::from_celsius(8.0),
             guard,
             engine: SnapshotCell::new(),
         }
-    }
-
-    /// Overrides the supply floor.
-    pub fn with_floor(mut self, floor: Temperature) -> Self {
-        self.t_ac_floor = floor;
-        self
     }
 
     /// The (guarded) model this planner works from.
@@ -397,10 +393,11 @@ impl Planner {
                 .unwrap_or(Temperature::from_celsius(20.0));
             return Ok((ceiling, self.set_points.set_point_for(ceiling, table_load)));
         }
-        if t_ac < self.t_ac_floor {
+        let floor = Temperature::from_celsius(SUPPLY_FLOOR_CELSIUS);
+        if t_ac < floor {
             return Err(PolicyError::TooColdRequired {
                 required: t_ac,
-                floor: self.t_ac_floor,
+                floor,
             });
         }
         Ok((t_ac, self.set_points.set_point_for(t_ac, table_load)))

@@ -33,6 +33,7 @@ use coolopt_core::{
 };
 use coolopt_telemetry::{self as telemetry, SinkMode};
 use serde::Serialize;
+use serde_json::value::RawValue;
 use std::time::Instant;
 
 const BUILD_SIZES: [usize; 4] = [20, 100, 200, 500];
@@ -115,20 +116,8 @@ struct Report {
     hier: Vec<HierReportRow>,
     status_rows_at_query_n: usize,
     orders_at_query_n: usize,
-}
-
-/// Inserts the pre-rendered metrics snapshot as a `"telemetry"` key just
-/// before the report object closes. The snapshot renders its own JSON (the
-/// vendored serde stand-in has no raw-value passthrough), so it is spliced
-/// into the serde output textually.
-fn splice_telemetry(rendered: &str, telemetry_json: &str) -> String {
-    let end = rendered.rfind('}').expect("report is a JSON object");
-    let mut out = String::with_capacity(rendered.len() + telemetry_json.len() + 32);
-    out.push_str(rendered[..end].trim_end());
-    out.push_str(",\n  \"telemetry\": ");
-    out.push_str(telemetry_json);
-    out.push_str("\n}");
-    out
+    /// The global metrics snapshot, embedded as it renders itself.
+    telemetry: Box<RawValue>,
 }
 
 /// Median-of-3 wall-clock milliseconds for `f`.
@@ -355,9 +344,10 @@ fn main() {
         hier: hier_rows,
         status_rows_at_query_n: index.status_count(),
         orders_at_query_n: index.order_count(),
+        telemetry: RawValue::from_string(telemetry::snapshot().to_json())
+            .expect("the metrics snapshot renders one JSON document"),
     };
     let rendered = serde_json::to_string_pretty(&report).expect("report serializes");
-    let rendered = splice_telemetry(&rendered, &telemetry::snapshot().to_json());
     // Default to the repo root so the committed BENCH_index.json is what a
     // plain `cargo run` refreshes, regardless of the invocation directory.
     let out = std::env::var("BENCH_INDEX_OUT")

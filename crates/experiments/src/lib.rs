@@ -49,7 +49,7 @@ pub use replay::{replay_trace_with, ReplayEngine, ReplayOptions, ReplayOutcome};
 pub use report::{render_figure, to_csv};
 pub use run_report::{
     emit_report, export_flight_dropped, HealthSection, MultiZoneSection, ReplaySection, RunReport,
-    ScenarioSection, TraceSection, VariantSection, RUN_REPORT_SCHEMA,
+    ScenarioSection, SegmentSection, TraceSection, VariantSection, RUN_REPORT_SCHEMA,
 };
 pub use savings::{savings_summary, SavingsSummary};
 pub use testbed::{Testbed, TestbedError};

@@ -230,7 +230,9 @@ impl Tenant {
     /// Submits a burst of loads through the coalescer and blocks for their
     /// answers: one [`PlanResult`] per load, in order, each bit-identical
     /// to [`Tenant::plan_sequential`] against the engine published when
-    /// the micro-batch ran.
+    /// the micro-batch ran. Only the admissible loads (finite and
+    /// non-negative) are SLO attempts; the others are answered with their
+    /// sequential errors and recorded nowhere.
     ///
     /// # Errors
     ///
@@ -252,7 +254,8 @@ impl Tenant {
         // the batch and are answered directly, so their errors are exactly
         // the sequential ones and a bad load can never poison a batch.
         let admissible = |l: f64| l.is_finite() && l >= 0.0;
-        let submitted = if loads.iter().all(|&l| admissible(l)) {
+        let planned = loads.iter().filter(|&&l| admissible(l)).count() as u64;
+        let submitted = if planned == loads.len() as u64 {
             self.submit_admissible(loads)
         } else {
             let valid: Vec<f64> = loads.iter().copied().filter(|&l| admissible(l)).collect();
@@ -275,15 +278,14 @@ impl Tenant {
             Ok(v) => v,
             Err(e) => {
                 if matches!(e, ServiceError::Overloaded { .. }) {
-                    self.slo
-                        .record_shed(self.slo.elapsed_ns(), loads.len() as u64);
+                    self.slo.record_shed(self.slo.elapsed_ns(), planned);
                 }
                 return Err(e);
             }
         };
         let elapsed = begin.elapsed().as_secs_f64();
         self.slo
-            .record_served(self.slo.elapsed_ns(), loads.len() as u64, elapsed, meta);
+            .record_served(self.slo.elapsed_ns(), planned, elapsed, meta);
         telemetry::histogram("coolopt_service_reply_seconds").observe(elapsed);
         Ok(results)
     }

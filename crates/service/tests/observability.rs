@@ -180,6 +180,31 @@ fn stats_scrape_answers_the_schema_in_protocol() {
 }
 
 #[test]
+fn only_plannable_loads_count_in_the_tenant_ring() {
+    let core = ServiceCore::default();
+    core.register_scenario(&presets::testbed_rack20(0)).unwrap();
+    // A burst of only invalid loads, then a mixed one: one load is planned.
+    for line in [
+        r#"{"tenant":"testbed_rack20/rack","loads":[-1]}"#,
+        r#"{"tenant":"testbed_rack20/rack","loads":[1,-1]}"#,
+    ] {
+        let reply = proto::handle_line(&core, line);
+        assert!(reply.contains(r#""ok":true"#), "{reply}");
+    }
+
+    let doc = core.stats_doc();
+    let [row] = doc.tenants.as_slice() else {
+        panic!("one tenant row: {:?}", doc.tenants);
+    };
+    assert_eq!(doc.totals.plans, 1);
+    assert_eq!(row.slo.attempts, 1, "invalid loads are not SLO attempts");
+    assert_eq!(row.slo.shed, 0);
+    assert_eq!(row.slo.slow_burn.attempts, 1);
+    assert_eq!(row.queue_wait.count, 1);
+    assert_eq!(row.run.count, 1);
+}
+
+#[test]
 fn metrics_scrape_answers_prometheus_in_protocol() {
     let core = ServiceCore::default();
     core.register_scenario(&presets::testbed_rack20(0)).unwrap();
@@ -455,8 +480,8 @@ fn trace_scrape_ships_a_bounded_chrome_fragment() {
         .unwrap();
 
     let line = proto::handle_line(&core, r#"{"cmd":"trace","limit":5}"#);
-    // The trace line is hand-assembled (the fragment is embedded raw), so
-    // decode it as a generic tree rather than a typed struct.
+    // The fragment is embedded as a raw value, so decode the line as a
+    // generic tree rather than a typed struct.
     let doc: Value = serde_json::from_str(&line).unwrap();
     let fields = doc.as_object().expect("trace reply is an object");
     assert_eq!(
