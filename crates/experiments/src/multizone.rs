@@ -81,7 +81,9 @@ pub struct MultiZoneOptions {
     /// When set, both variants stream per-zone plant series into the
     /// process-global [time-series store](coolopt_telemetry::tsdb):
     /// `{prefix}.{variant}.zone{z}.computing_watts` plus room-level
-    /// `cooling_watts` and `margin_kelvin`, on the simulation clock.
+    /// `cooling_watts` and `margin_kelvin`, on the simulation clock. The
+    /// run owns every `{prefix}.*` series: it drops what an earlier run
+    /// left there before its first sample.
     pub tsdb_prefix: Option<&'static str>,
 }
 
@@ -178,6 +180,9 @@ pub fn run_multizone(
         per_zone_watts = per_plan.total().as_watts(),
         uniform_watts = uni_plan.total().as_watts(),
     );
+    if let Some(prefix) = options.tsdb_prefix {
+        telemetry::tsdb().remove_matching(&format!("{prefix}.*"));
+    }
     let per_zone = run_variant(scenario, &system, &per_plan, options, true)?;
     let uniform = run_variant(scenario, &system, &uni_plan, options, false)?;
     Ok(MultiZoneOutcome {

@@ -93,7 +93,8 @@ pub struct RuntimeOptions {
     /// [`record_every`](RuntimeOptions::record_every) cadence:
     /// `{prefix}.computing_watts`, `{prefix}.cooling_watts` and
     /// `{prefix}.margin_kelvin`, stamped with *simulation* milliseconds
-    /// (not wall time).
+    /// (not wall time). The run owns every `{prefix}.*` series: it drops
+    /// what an earlier run left there before its first sample.
     pub tsdb_prefix: Option<String>,
 }
 
@@ -238,6 +239,11 @@ pub fn run_load_trace_with(
     };
     let mut health = ModelHealthMonitor::new(machines, options.health);
     let settle = health.settle();
+    // The run owns its prefix's series: samples restart at t = 0, and
+    // series must ascend.
+    if let Some(prefix) = &options.tsdb_prefix {
+        telemetry::tsdb().remove_matching(&format!("{prefix}.*"));
+    }
 
     let mut replans = 0usize;
     let mut plan_failures = 0usize;
@@ -327,9 +333,9 @@ pub fn run_load_trace_with(
         testbed.room.step();
         window_steps += 1;
 
-        let p = testbed.room.total_power();
         let pc = testbed.room.computing_power();
         let pk = testbed.room.cooling_power();
+        let p = pc + pk; // `total_power`, without evaluating both again
         energy += p * dt;
         computing_energy += pc * dt;
         cooling_energy += pk * dt;
@@ -472,6 +478,42 @@ mod tests {
     #[should_panic(expected = "duration")]
     fn sinusoidal_trace_rejects_nonpositive_duration() {
         sinusoidal_trace(8, 0.2, 0.8, Seconds::new(0.0), 4);
+    }
+
+    #[test]
+    fn a_trace_run_replaces_its_prefix_series() {
+        let mut tb = Testbed::build_sized(6, 11).unwrap();
+        let planner = crate::scenario_planner(&tb, &crate::SweepOptions::default());
+        let trace = [TracePoint {
+            at: Seconds::ZERO,
+            load: 3.0,
+        }];
+        let options = RuntimeOptions {
+            tsdb_prefix: Some("trace_run_replaces_its_prefix".to_string()),
+            ..RuntimeOptions::default()
+        };
+        let hour = Seconds::new(3600.0);
+        for _ in 0..2 {
+            run_load_trace_with(
+                &planner,
+                &mut tb,
+                Method::numbered(8),
+                &trace,
+                hour,
+                &options,
+            )
+            .unwrap();
+        }
+        let series = telemetry::tsdb().query_matching(
+            "trace_run_replaces_its_prefix.*",
+            &telemetry::RangeQuery::default(),
+        );
+        assert_eq!(series.len(), 3);
+        for s in series {
+            // One 1 h run at the 10 s cadence: 360 points, ascending.
+            assert_eq!(s.points.len(), 360, "{}", s.name);
+            assert!(s.points.windows(2).all(|w| w[0].0 < w[1].0), "{}", s.name);
+        }
     }
 
     #[test]

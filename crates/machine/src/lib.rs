@@ -30,4 +30,4 @@ pub mod server;
 
 pub use config::{ServerConfig, ServerConfigBuilder};
 pub use sensors::{CpuTempSensor, PowerMeter};
-pub use server::{PowerState, Server, ServerId};
+pub use server::{PowerState, Server, ServerId, ThermalTerms};

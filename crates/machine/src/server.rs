@@ -2,7 +2,7 @@
 
 use crate::config::ServerConfig;
 use coolopt_sim::noise::OrnsteinUhlenbeck;
-use coolopt_units::{TempRate, Temperature, Watts, C_AIR};
+use coolopt_units::{Conductance, HeatCapacity, TempRate, Temperature, Watts, C_AIR};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -43,6 +43,41 @@ impl fmt::Display for InvalidLoad {
 }
 
 impl std::error::Error for InvalidLoad {}
+
+/// A server's thermal derivatives with its heat sources and air flow held
+/// fixed ([`Server::thermal_terms`]). [`ThermalTerms::rates`] evaluates
+/// exactly the expressions of [`Server::thermal_rates`], operand for
+/// operand, so both give the same bits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ThermalTerms {
+    /// Heat into the CPU node, `(1−b)·P`.
+    p_cpu: Watts,
+    /// Heat dumped straight into the box air, `b·P`.
+    p_box_direct: Watts,
+    /// CPU-to-box conductance `ϑ`.
+    theta: Conductance,
+    /// Advective conductance of the chassis air stream, `F·c_air`.
+    advect: Conductance,
+    nu_cpu: HeatCapacity,
+    nu_box: HeatCapacity,
+}
+
+impl ThermalTerms {
+    /// `(dT_cpu/dt, dT_box/dt)` for candidate state `(t_cpu, t_box)` given
+    /// inlet air at `t_in`.
+    pub fn rates(
+        &self,
+        t_in: Temperature,
+        t_cpu: Temperature,
+        t_box: Temperature,
+    ) -> (TempRate, TempRate) {
+        let exchange = self.theta * (t_cpu - t_box);
+        let advect = self.advect * (t_in - t_box);
+        let d_cpu = (self.p_cpu - exchange) / self.nu_cpu;
+        let d_box = (exchange + self.p_box_direct + advect) / self.nu_box;
+        (d_cpu, d_box)
+    }
+}
 
 /// One simulated rack server.
 ///
@@ -230,16 +265,24 @@ impl Server {
         t_cpu: Temperature,
         t_box: Temperature,
     ) -> (TempRate, TempRate) {
+        self.thermal_terms().rates(t_in, t_cpu, t_box)
+    }
+
+    /// The terms of [`Server::thermal_rates`] that do not depend on the
+    /// candidate temperatures: the heat split at the current power draw and
+    /// the advective conductance at the current fan state. An integrator
+    /// that evaluates the rates several times per step computes these once.
+    pub fn thermal_terms(&self) -> ThermalTerms {
         let p = self.heat_output();
         let b = self.config.heat_bypass_fraction;
-        let p_cpu = p * (1.0 - b);
-        let p_box_direct = p * b;
-        let exchange = self.config.theta_cpu_box * (t_cpu - t_box);
-        let advect = (self.air_flow() * C_AIR) * (t_in - t_box);
-
-        let d_cpu = (p_cpu - exchange) / self.config.nu_cpu;
-        let d_box = (exchange + p_box_direct + advect) / self.config.nu_box;
-        (d_cpu, d_box)
+        ThermalTerms {
+            p_cpu: p * (1.0 - b),
+            p_box_direct: p * b,
+            theta: self.config.theta_cpu_box,
+            advect: self.air_flow() * C_AIR,
+            nu_cpu: self.config.nu_cpu,
+            nu_box: self.config.nu_box,
+        }
     }
 
     /// Writes back the thermal state after an ODE step.

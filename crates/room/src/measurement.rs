@@ -37,15 +37,14 @@ impl RoomObservation {
         let n = room.len();
         let cpu_temps = (0..n).map(|i| room.read_cpu_temp(i)).collect();
         let server_powers: Vec<Watts> = (0..n).map(|i| room.read_power(i)).collect();
-        let air = room.air_state();
-        let cooling_power = room.cooling_power();
+        let (t_return, t_supply, cooling_power) = room.first_crac_air_and_cooling();
         let computing: Watts = server_powers.iter().copied().sum();
         RoomObservation {
             time: room.now(),
             cpu_temps,
             server_powers,
-            t_supply: air.supplies[0],
-            t_return: air.returns[0],
+            t_supply,
+            t_return,
             t_room: room.room_temp(),
             cooling_power,
             total_power: computing + cooling_power,
@@ -85,6 +84,9 @@ pub struct SteadyMeasurement {
 impl SteadyMeasurement {
     /// Settles the room (up to `max_settle`), then samples once per
     /// simulated second for `window` and averages.
+    ///
+    /// Each sample reads the instruments as [`RoomObservation::capture`]
+    /// does, in the same order, but into buffers reused across the window.
     pub fn collect(room: &mut MachineRoom, max_settle: Seconds, window: Seconds) -> Self {
         let settled = room.settle(max_settle, 5.0);
         let n = room.len();
@@ -101,21 +103,28 @@ impl SteadyMeasurement {
         let mut cooling = 0.0;
         let mut total = 0.0;
 
+        let mut cpu_readings: Vec<Temperature> = Vec::with_capacity(n);
+        let mut power_readings: Vec<Watts> = Vec::with_capacity(n);
         for _ in 0..samples {
             room.step();
-            let obs = RoomObservation::capture(room);
+            cpu_readings.clear();
+            cpu_readings.extend((0..n).map(|i| room.read_cpu_temp(i)));
+            power_readings.clear();
+            power_readings.extend((0..n).map(|i| room.read_power(i)));
+            let (t_ret, t_sup, cooling_power) = room.first_crac_air_and_cooling();
+            let computing: Watts = power_readings.iter().copied().sum();
             for i in 0..n {
-                server_powers[i] += obs.server_powers[i].as_watts();
-                let c = obs.cpu_temps[i].as_celsius();
+                server_powers[i] += power_readings[i].as_watts();
+                let c = cpu_readings[i].as_celsius();
                 cpu_temps[i] += c;
                 max_cpu = max_cpu.max(c);
                 max_cpu_true = max_cpu_true.max(room.servers()[i].cpu_temp().as_celsius());
             }
-            t_supply += obs.t_supply.as_celsius();
-            t_return += obs.t_return.as_celsius();
-            t_room += obs.t_room.as_celsius();
-            cooling += obs.cooling_power.as_watts();
-            total += obs.total_power.as_watts();
+            t_supply += t_sup.as_celsius();
+            t_return += t_ret.as_celsius();
+            t_room += room.room_temp().as_celsius();
+            cooling += cooling_power.as_watts();
+            total += (computing + cooling_power).as_watts();
         }
 
         let k = samples as f64;

@@ -17,10 +17,10 @@
 
 use crate::envelope::Envelope;
 use coolopt_cooling::{CracMode, CracUnit};
-use coolopt_machine::{CpuTempSensor, PowerMeter, Server};
+use coolopt_machine::{CpuTempSensor, PowerMeter, Server, ThermalTerms};
 use coolopt_sim::ode::{Dynamics, Integrator, Rk4};
 use coolopt_sim::{SimClock, SimScratch, TrendDetector};
-use coolopt_units::{FlowRate, HeatCapacity, Seconds, Temperature, Watts, C_AIR};
+use coolopt_units::{Conductance, FlowRate, HeatCapacity, Seconds, Temperature, Watts, C_AIR};
 use std::cell::RefCell;
 use std::fmt;
 use std::ops::Range;
@@ -103,6 +103,13 @@ pub struct MachineRoom {
     /// `cross_zone[z][w]`: fraction of zone-z inlets drawn from zone w's
     /// mean exhaust (diagonal 0).
     cross_zone: Vec<Vec<f64>>,
+    /// `true` when some zone draws from another zone's exhaust; only then
+    /// are zone mean exhausts computed.
+    cross_recirculates: bool,
+    /// Per-server share of room air in the intake: what supply,
+    /// neighbour and cross-zone recirculation leave. The fractions have
+    /// no setters, so this is fixed when the room is built.
+    room_air: Vec<f64>,
     config: RoomConfig,
     t_room: Temperature,
     clock: SimClock,
@@ -112,21 +119,67 @@ pub struct MachineRoom {
     ode_state: Vec<f64>,
     /// Persistent integrator workspace for [`MachineRoom::step`].
     scratch: SimScratch,
-    /// Air-path temporaries for [`Dynamics::derivatives`] (which only gets
-    /// `&self`, hence the interior mutability). Never held across a call.
+    /// Persistent [`PlantStage`] buffers for [`MachineRoom::step`].
+    stage: StageBuffers,
+    /// Air-path buffers of the observation methods ([`MachineRoom::air_state`],
+    /// [`MachineRoom::cooling_power`]), which only get `&self`, hence the
+    /// interior mutability. Never held across a call.
     air_buffers: RefCell<AirBuffers>,
 }
 
-/// Reused air-path temporaries: per-server exhausts, flows and inlets,
-/// per-CRAC returns and supplies, per-zone mean exhausts.
+/// Per-CRAC return-duct coefficients for one set of server flows.
 #[derive(Debug, Clone, Default)]
-struct AirBuffers {
+struct Ducts {
+    /// `(server, share·capture·F)` for every server whose captured exhaust
+    /// reaches a CRAC (`share > 0`), CRAC by CRAC, servers ascending.
+    captured: Vec<(usize, f64)>,
+    /// Per CRAC: its range in `captured` and the sum of those flows.
+    spans: Vec<(Range<usize>, f64)>,
+}
+
+/// Air-path temperatures: per-server exhausts and inlets, per-CRAC returns
+/// and supplies, per-zone mean exhausts.
+#[derive(Debug, Clone, Default)]
+struct AirTemps {
     exhausts: Vec<Temperature>,
-    flows: Vec<FlowRate>,
     inlets: Vec<Temperature>,
     returns: Vec<Temperature>,
     supplies: Vec<Temperature>,
     zone_means: Vec<f64>,
+}
+
+/// Buffers of the observation methods: the current flows, their duct
+/// coefficients and the temperatures they give.
+#[derive(Debug, Clone, Default)]
+struct AirBuffers {
+    flows: Vec<FlowRate>,
+    ducts: Ducts,
+    temps: AirTemps,
+}
+
+/// Buffers of one [`PlantStage`], kept on the room between steps so that a
+/// step allocates nothing.
+#[derive(Debug, Clone, Default)]
+struct StageBuffers {
+    terms: StepTerms,
+    temps: AirTemps,
+}
+
+/// The terms the four RK4 stage evaluations of one step hold fixed: they
+/// depend on the servers' power states, loads and noise, which change only
+/// between steps, never on the integrated temperatures.
+#[derive(Debug, Clone, Default)]
+struct StepTerms {
+    /// Per server: its heat split and advective conductance.
+    thermal: Vec<ThermalTerms>,
+    /// Per server: conductance of its uncaptured exhaust into the room,
+    /// `(F·(1−capture))·c_air`.
+    spill: Vec<Conductance>,
+    flows: Vec<FlowRate>,
+    ducts: Ducts,
+    /// Per CRAC: conductance of the supply air no server draws, which
+    /// spills into the room at the unit's supply temperature.
+    unclaimed: Vec<Conductance>,
 }
 
 /// View of the instantaneous air-path temperatures.
@@ -271,6 +324,18 @@ impl MachineRoom {
         let power_meters = (0..n)
             .map(|i| PowerMeter::with_default_noise(sensor_seed.wrapping_add(1000 + i as u64)))
             .collect();
+        let room_air = (0..n)
+            .map(|i| {
+                let mut room_air = 1.0 - supply_fraction[i] - neighbor_recirc[i];
+                for &x in &cross_zone[zone_of[i]] {
+                    if x > 0.0 {
+                        room_air -= x;
+                    }
+                }
+                room_air
+            })
+            .collect();
+        let cross_recirculates = cross_zone.iter().flatten().any(|&x| x > 0.0);
         let dim = 2 * n + 1 + z_count;
         Ok(MachineRoom {
             servers,
@@ -282,6 +347,8 @@ impl MachineRoom {
             capture,
             supply_share,
             cross_zone,
+            cross_recirculates,
+            room_air,
             config,
             t_room: t0,
             clock: SimClock::new(config.dt),
@@ -289,6 +356,7 @@ impl MachineRoom {
             power_meters,
             ode_state: Vec::with_capacity(dim),
             scratch: SimScratch::with_dim(dim),
+            stage: StageBuffers::default(),
             air_buffers: RefCell::new(AirBuffers::default()),
         })
     }
@@ -449,28 +517,33 @@ impl MachineRoom {
     /// Instantaneous air-path temperatures for the current state.
     pub fn air_state(&self) -> AirState {
         let mut buffers = self.air_buffers.borrow_mut();
-        let AirBuffers {
+        self.current_air(&mut buffers);
+        let AirTemps {
             exhausts,
-            flows,
             inlets,
             returns,
             supplies,
             zone_means,
-        } = &mut *buffers;
-        self.current_returns(exhausts, flows, returns);
-        supplies.clear();
-        supplies.extend(
-            self.cracs
-                .iter()
-                .zip(returns.iter())
-                .map(|(crac, &t_ret)| crac.supply_temp(t_ret, crac.integral())),
-        );
+        } = &mut buffers.temps;
         self.inlet_temps_into(supplies, exhausts, self.t_room, zone_means, inlets);
         AirState {
             returns: returns.clone(),
             supplies: supplies.clone(),
             inlets: inlets.clone(),
         }
+    }
+
+    /// CRAC 0's return and supply temperatures and the electrical power of
+    /// all cooling units, from one evaluation of the return ducts and
+    /// without allocating: the measurement window samples these every
+    /// step.
+    pub(crate) fn first_crac_air_and_cooling(&self) -> (Temperature, Temperature, Watts) {
+        let mut buffers = self.air_buffers.borrow_mut();
+        self.current_air(&mut buffers);
+        let AirTemps {
+            returns, supplies, ..
+        } = &buffers.temps;
+        (returns[0], supplies[0], self.cooling_power_at(returns))
     }
 
     /// Total electrical power of the computing side (sum of server draws).
@@ -483,15 +556,18 @@ impl MachineRoom {
     pub fn cooling_power(&self) -> Watts {
         let mut buffers = self.air_buffers.borrow_mut();
         let AirBuffers {
-            exhausts,
             flows,
-            returns,
-            ..
+            ducts,
+            temps,
         } = &mut *buffers;
-        self.current_returns(exhausts, flows, returns);
+        self.current_returns(flows, ducts, temps);
+        self.cooling_power_at(&temps.returns)
+    }
+
+    fn cooling_power_at(&self, returns: &[Temperature]) -> Watts {
         self.cracs
             .iter()
-            .zip(returns.iter())
+            .zip(returns)
             .map(|(crac, &t_ret)| crac.electrical_power(t_ret, crac.integral()))
             .sum()
     }
@@ -514,46 +590,78 @@ impl MachineRoom {
         self.power_meters[i].read(p)
     }
 
-    /// Fills `exhausts` and `flows` from the current server state and
-    /// `returns` from them.
-    fn current_returns(
-        &self,
-        exhausts: &mut Vec<Temperature>,
-        flows: &mut Vec<FlowRate>,
-        returns: &mut Vec<Temperature>,
-    ) {
-        exhausts.clear();
-        flows.clear();
-        for s in &self.servers {
-            exhausts.push(s.exhaust_temp());
-            flows.push(s.air_flow());
-        }
-        self.return_temps_into(exhausts, flows, self.t_room, returns);
+    /// Fills `buffers` with the current state's exhausts, returns and
+    /// supplies.
+    fn current_air(&self, buffers: &mut AirBuffers) {
+        let AirBuffers {
+            flows,
+            ducts,
+            temps,
+        } = buffers;
+        self.current_returns(flows, ducts, temps);
+        temps.supplies.clear();
+        temps.supplies.extend(
+            self.cracs
+                .iter()
+                .zip(&temps.returns)
+                .map(|(crac, &t_ret)| crac.supply_temp(t_ret, crac.integral())),
+        );
     }
 
-    /// Per-CRAC return temperatures, into `returns` (cleared first). CRAC
-    /// `u` receives its supply share of every server's captured exhaust
-    /// (flow-weighted) and tops the stream up with room air to its own
-    /// flow; if the captured exhaust alone fills the duct, the duct
-    /// overflows into the room and the return is pure exhaust.
-    fn return_temps_into(
-        &self,
-        exhausts: &[Temperature],
-        flows: &[FlowRate],
-        t_room: Temperature,
-        returns: &mut Vec<Temperature>,
-    ) {
-        returns.clear();
-        for (u, crac) in self.cracs.iter().enumerate() {
+    /// Fills `flows`, `ducts` and the exhausts from the current server
+    /// state, and the returns from them.
+    fn current_returns(&self, flows: &mut Vec<FlowRate>, ducts: &mut Ducts, temps: &mut AirTemps) {
+        flows.clear();
+        temps.exhausts.clear();
+        for s in &self.servers {
+            flows.push(s.air_flow());
+            temps.exhausts.push(s.exhaust_temp());
+        }
+        self.ducts_into(flows, ducts);
+        self.return_temps_into(ducts, &temps.exhausts, self.t_room, &mut temps.returns);
+    }
+
+    /// The return-duct coefficients for per-server `flows`: CRAC `u`
+    /// receives `share[z][u]·capture_i·F_i` of the exhaust of every server
+    /// `i` of a zone `z` it feeds.
+    fn ducts_into(&self, flows: &[FlowRate], ducts: &mut Ducts) {
+        ducts.captured.clear();
+        ducts.spans.clear();
+        for u in 0..self.cracs.len() {
+            let start = ducts.captured.len();
             let mut captured_flow = 0.0;
-            let mut captured_heat = 0.0; // flow-weighted temperature
-            for (i, (t, f)) in exhausts.iter().zip(flows).enumerate() {
+            for (i, f) in flows.iter().enumerate() {
                 let share = self.supply_share[self.zone_of[i]][u];
                 if share > 0.0 {
                     let cf = share * self.capture[i] * f.as_cubic_meters_per_second();
                     captured_flow += cf;
-                    captured_heat += cf * t.as_kelvin();
+                    ducts.captured.push((i, cf));
                 }
+            }
+            ducts
+                .spans
+                .push((start..ducts.captured.len(), captured_flow));
+        }
+    }
+
+    /// Per-CRAC return temperatures, into `returns` (cleared first). CRAC
+    /// `u` receives its share of the captured exhaust (flow-weighted, per
+    /// `ducts`) and tops the stream up with room air to its own flow; if
+    /// the captured exhaust alone fills the duct, the duct overflows into
+    /// the room and the return is pure exhaust.
+    fn return_temps_into(
+        &self,
+        ducts: &Ducts,
+        exhausts: &[Temperature],
+        t_room: Temperature,
+        returns: &mut Vec<Temperature>,
+    ) {
+        returns.clear();
+        for (crac, (span, captured_flow)) in self.cracs.iter().zip(&ducts.spans) {
+            let captured_flow = *captured_flow;
+            let mut captured_heat = 0.0; // flow-weighted temperature
+            for &(i, cf) in &ducts.captured[span.clone()] {
+                captured_heat += cf * exhausts[i].as_kelvin();
             }
             let f_ac = crac.config().flow.as_cubic_meters_per_second();
             returns.push(if captured_flow >= f_ac {
@@ -577,32 +685,34 @@ impl MachineRoom {
         inlets: &mut Vec<Temperature>,
     ) {
         zone_means.clear();
-        for range in &self.zone_ranges {
-            let sum: f64 = exhausts[range.clone()].iter().map(|t| t.as_kelvin()).sum();
-            zone_means.push(sum / range.len() as f64);
+        if self.cross_recirculates {
+            for range in &self.zone_ranges {
+                let sum: f64 = exhausts[range.clone()].iter().map(|t| t.as_kelvin()).sum();
+                zone_means.push(sum / range.len() as f64);
+            }
         }
         inlets.clear();
-        for (i, &z) in self.zone_of.iter().enumerate() {
+        for (z, range) in self.zone_ranges.iter().enumerate() {
             let t_mix: f64 = self.supply_share[z]
                 .iter()
                 .zip(supplies)
                 .map(|(share, t)| share * t.as_kelvin())
                 .sum();
-            let s = self.supply_fraction[i];
-            let r = self.neighbor_recirc[i];
-            let mut kelvin = s * t_mix;
-            if r > 0.0 {
-                kelvin += r * exhausts[i - 1].as_kelvin();
-            }
-            let mut room_air = 1.0 - s - r;
-            for (&x, &mean) in self.cross_zone[z].iter().zip(zone_means.iter()) {
-                if x > 0.0 {
-                    kelvin += x * mean;
-                    room_air -= x;
+            for i in range.clone() {
+                let r = self.neighbor_recirc[i];
+                let mut kelvin = self.supply_fraction[i] * t_mix;
+                if r > 0.0 {
+                    kelvin += r * exhausts[i - 1].as_kelvin();
                 }
+                // Empty unless the room cross-recirculates.
+                for (&x, &mean) in self.cross_zone[z].iter().zip(zone_means.iter()) {
+                    if x > 0.0 {
+                        kelvin += x * mean;
+                    }
+                }
+                kelvin += self.room_air[i] * t_room.as_kelvin();
+                inlets.push(Temperature::from_kelvin(kelvin));
             }
-            kelvin += room_air * t_room.as_kelvin();
-            inlets.push(Temperature::from_kelvin(kelvin));
         }
     }
 
@@ -634,17 +744,20 @@ impl MachineRoom {
 
     /// Advances the simulation by one step `dt`.
     ///
-    /// The hot path is allocation-free: the packed state and the integrator
-    /// workspace live on the room and are taken out for the duration of the
-    /// step (the integrator needs `&self` while the buffers are borrowed
-    /// mutably).
+    /// The hot path is allocation-free: the packed state, the integrator
+    /// workspace and the buffers of the step's fixed terms live on the
+    /// room and are taken out for the duration of the step (the integrator
+    /// needs `&self` while the buffers are borrowed mutably).
     pub fn step(&mut self) {
         let mut state = std::mem::take(&mut self.ode_state);
         let mut scratch = std::mem::take(&mut self.scratch);
+        let buffers = std::mem::take(&mut self.stage);
         self.pack_state_into(&mut state);
         let t = self.clock.now();
         let dt = self.clock.dt();
-        Rk4::new().step_with(&*self, t, dt, &mut state, &mut scratch);
+        let stage = PlantStage::new(self, buffers);
+        Rk4::new().step_with(&stage, t, dt, &mut state, &mut scratch);
+        self.stage = stage.into_buffers();
         self.unpack_state(&state);
         for s in &mut self.servers {
             s.advance(dt.as_secs_f64());
@@ -690,76 +803,127 @@ impl MachineRoom {
     }
 }
 
-impl Dynamics for MachineRoom {
-    fn dim(&self) -> usize {
-        2 * self.servers.len() + 1 + self.cracs.len()
-    }
+/// The room's ODE over one step, as RK4 evaluates it.
+///
+/// [`PlantStage::new`] computes once what the step's four stage
+/// evaluations hold fixed ([`StepTerms`]): every server's heat split and
+/// air conductances, the return-duct coefficients and the unclaimed supply
+/// conductances. An evaluation then does only the arithmetic on the
+/// candidate temperatures. Each expression keeps its operands and its
+/// order of evaluation, so the derivatives are bit-identical to evaluating
+/// everything from the room in every stage.
+struct PlantStage<'a> {
+    room: &'a MachineRoom,
+    terms: StepTerms,
+    /// Rewritten by every evaluation, which only gets `&self`.
+    temps: RefCell<AirTemps>,
+}
 
-    fn derivatives(&self, _t: Seconds, x: &[f64], dx: &mut [f64]) {
-        let n = self.servers.len();
-        let t_room = Temperature::from_kelvin(x[2 * n]);
-        let integrals = &x[2 * n + 1..];
-
-        // Borrow the reused air-path temporaries for the whole evaluation;
-        // nothing below re-enters `derivatives`, so the RefCell never
-        // double-borrows.
-        let mut buffers = self.air_buffers.borrow_mut();
-        let AirBuffers {
-            exhausts,
+impl<'a> PlantStage<'a> {
+    /// Fills `buffers`' fixed terms from the room's current servers.
+    fn new(room: &'a MachineRoom, buffers: StageBuffers) -> Self {
+        let StageBuffers { mut terms, temps } = buffers;
+        let StepTerms {
+            thermal,
+            spill,
             flows,
-            inlets,
-            returns,
-            supplies,
-            zone_means,
-        } = &mut *buffers;
-        exhausts.clear();
+            ducts,
+            unclaimed,
+        } = &mut terms;
+        thermal.clear();
+        spill.clear();
         flows.clear();
-        for (i, s) in self.servers.iter().enumerate() {
-            exhausts.push(Temperature::from_kelvin(x[2 * i + 1]));
-            flows.push(s.air_flow());
+        for (s, &capture) in room.servers.iter().zip(&room.capture) {
+            let flow = s.air_flow();
+            thermal.push(s.thermal_terms());
+            spill.push((flow * (1.0 - capture)) * C_AIR);
+            flows.push(flow);
         }
-        self.return_temps_into(exhausts, flows, t_room, returns);
-        supplies.clear();
-        supplies.extend(
-            self.cracs
-                .iter()
-                .zip(returns.iter())
-                .zip(integrals)
-                .map(|((crac, &t_ret), &integral)| crac.supply_temp(t_ret, integral)),
-        );
-        self.inlet_temps_into(supplies, exhausts, t_room, zone_means, inlets);
-
-        let mut spilled_heat = Watts::ZERO;
-        for (i, server) in self.servers.iter().enumerate() {
-            let t_cpu = Temperature::from_kelvin(x[2 * i]);
-            let t_box = exhausts[i];
-            let (d_cpu, d_box) = server.thermal_rates(inlets[i], t_cpu, t_box);
-            dx[2 * i] = d_cpu.as_kelvin_per_second();
-            dx[2 * i + 1] = d_box.as_kelvin_per_second();
-            let spill_conductance = (flows[i] * (1.0 - self.capture[i])) * C_AIR;
-            spilled_heat += spill_conductance * (t_box - t_room);
-        }
-
-        // Supply air not drawn through each CRAC spills into the room at
-        // that unit's supply temperature.
-        let mut supply_spill = Watts::ZERO;
-        for (u, crac) in self.cracs.iter().enumerate() {
+        room.ducts_into(flows, ducts);
+        unclaimed.clear();
+        for (u, crac) in room.cracs.iter().enumerate() {
             let mut drawn = 0.0;
             for (i, f) in flows.iter().enumerate() {
-                drawn += self.supply_share[self.zone_of[i]][u]
-                    * self.supply_fraction[i]
+                drawn += room.supply_share[room.zone_of[i]][u]
+                    * room.supply_fraction[i]
                     * f.as_cubic_meters_per_second();
             }
             let excess = FlowRate::cubic_meters_per_second(
                 (crac.config().flow.as_cubic_meters_per_second() - drawn).max(0.0),
             );
-            supply_spill += (excess * C_AIR) * (supplies[u] - t_room);
+            unclaimed.push(excess * C_AIR);
         }
-        let envelope_gain = self.config.envelope.heat_gain(t_room);
+        PlantStage {
+            room,
+            terms,
+            temps: RefCell::new(temps),
+        }
+    }
+
+    fn into_buffers(self) -> StageBuffers {
+        StageBuffers {
+            terms: self.terms,
+            temps: self.temps.into_inner(),
+        }
+    }
+}
+
+impl Dynamics for PlantStage<'_> {
+    fn dim(&self) -> usize {
+        2 * self.room.servers.len() + 1 + self.room.cracs.len()
+    }
+
+    fn derivatives(&self, _t: Seconds, x: &[f64], dx: &mut [f64]) {
+        let room = self.room;
+        let terms = &self.terms;
+        let n = room.servers.len();
+        let t_room = Temperature::from_kelvin(x[2 * n]);
+        let integrals = &x[2 * n + 1..];
+
+        // Nothing below re-enters `derivatives`, so the RefCell never
+        // double-borrows.
+        let mut temps = self.temps.borrow_mut();
+        let AirTemps {
+            exhausts,
+            inlets,
+            returns,
+            supplies,
+            zone_means,
+        } = &mut *temps;
+        exhausts.clear();
+        exhausts.extend((0..n).map(|i| Temperature::from_kelvin(x[2 * i + 1])));
+        room.return_temps_into(&terms.ducts, exhausts, t_room, returns);
+        supplies.clear();
+        supplies.extend(
+            room.cracs
+                .iter()
+                .zip(returns.iter())
+                .zip(integrals)
+                .map(|((crac, &t_ret), &integral)| crac.supply_temp(t_ret, integral)),
+        );
+        room.inlet_temps_into(supplies, exhausts, t_room, zone_means, inlets);
+
+        let mut spilled_heat = Watts::ZERO;
+        for (i, (thermal, &spill)) in terms.thermal.iter().zip(&terms.spill).enumerate() {
+            let t_cpu = Temperature::from_kelvin(x[2 * i]);
+            let t_box = exhausts[i];
+            let (d_cpu, d_box) = thermal.rates(inlets[i], t_cpu, t_box);
+            dx[2 * i] = d_cpu.as_kelvin_per_second();
+            dx[2 * i + 1] = d_box.as_kelvin_per_second();
+            spilled_heat += spill * (t_box - t_room);
+        }
+
+        // Supply air not drawn through each CRAC spills into the room at
+        // that unit's supply temperature.
+        let mut supply_spill = Watts::ZERO;
+        for (&unclaimed, &supply) in terms.unclaimed.iter().zip(supplies.iter()) {
+            supply_spill += unclaimed * (supply - t_room);
+        }
+        let envelope_gain = room.config.envelope.heat_gain(t_room);
 
         let room_heat = spilled_heat + supply_spill + envelope_gain;
-        dx[2 * n] = (room_heat / self.config.room_air_capacity).as_kelvin_per_second();
-        for (u, crac) in self.cracs.iter().enumerate() {
+        dx[2 * n] = (room_heat / room.config.room_air_capacity).as_kelvin_per_second();
+        for (u, crac) in room.cracs.iter().enumerate() {
             dx[2 * n + 1 + u] = crac.integral_rate(returns[u], integrals[u]);
         }
     }
@@ -860,9 +1024,183 @@ mod tests {
             .iter()
             .map(|&f| FlowRate::cubic_meters_per_second(f))
             .collect();
+        let mut ducts = Ducts::default();
+        room.ducts_into(&flows, &mut ducts);
         let mut out = Vec::new();
-        room.return_temps_into(exhausts, &flows, t_room, &mut out);
+        room.return_temps_into(&ducts, exhausts, t_room, &mut out);
         out
+    }
+
+    /// The room's derivatives as every stage evaluation computed them
+    /// before [`PlantStage`] held the step's fixed terms: everything from
+    /// the room, per call. [`PlantStage`] must match it bit for bit.
+    fn reference_derivatives(room: &MachineRoom, x: &[f64], dx: &mut [f64]) {
+        let n = room.servers.len();
+        let t_room = Temperature::from_kelvin(x[2 * n]);
+        let integrals = &x[2 * n + 1..];
+        let exhausts: Vec<Temperature> = (0..n)
+            .map(|i| Temperature::from_kelvin(x[2 * i + 1]))
+            .collect();
+        let flows: Vec<FlowRate> = room.servers.iter().map(Server::air_flow).collect();
+        let mut returns = Vec::new();
+        for (u, crac) in room.cracs.iter().enumerate() {
+            let mut captured_flow = 0.0;
+            let mut captured_heat = 0.0;
+            for (i, (t, f)) in exhausts.iter().zip(&flows).enumerate() {
+                let share = room.supply_share[room.zone_of[i]][u];
+                if share > 0.0 {
+                    let cf = share * room.capture[i] * f.as_cubic_meters_per_second();
+                    captured_flow += cf;
+                    captured_heat += cf * t.as_kelvin();
+                }
+            }
+            let f_ac = crac.config().flow.as_cubic_meters_per_second();
+            returns.push(if captured_flow >= f_ac {
+                Temperature::from_kelvin(captured_heat / captured_flow)
+            } else {
+                let makeup = f_ac - captured_flow;
+                Temperature::from_kelvin((captured_heat + makeup * t_room.as_kelvin()) / f_ac)
+            });
+        }
+        let supplies: Vec<Temperature> = room
+            .cracs
+            .iter()
+            .zip(&returns)
+            .zip(integrals)
+            .map(|((crac, &t_ret), &integral)| crac.supply_temp(t_ret, integral))
+            .collect();
+        let zone_means: Vec<f64> = room
+            .zone_ranges
+            .iter()
+            .map(|range| {
+                let sum: f64 = exhausts[range.clone()].iter().map(|t| t.as_kelvin()).sum();
+                sum / range.len() as f64
+            })
+            .collect();
+        let mut inlets = Vec::new();
+        for (i, &z) in room.zone_of.iter().enumerate() {
+            let t_mix: f64 = room.supply_share[z]
+                .iter()
+                .zip(&supplies)
+                .map(|(share, t)| share * t.as_kelvin())
+                .sum();
+            let s = room.supply_fraction[i];
+            let r = room.neighbor_recirc[i];
+            let mut kelvin = s * t_mix;
+            if r > 0.0 {
+                kelvin += r * exhausts[i - 1].as_kelvin();
+            }
+            let mut room_air = 1.0 - s - r;
+            for (&x, &mean) in room.cross_zone[z].iter().zip(&zone_means) {
+                if x > 0.0 {
+                    kelvin += x * mean;
+                    room_air -= x;
+                }
+            }
+            kelvin += room_air * t_room.as_kelvin();
+            inlets.push(Temperature::from_kelvin(kelvin));
+        }
+
+        let mut spilled_heat = Watts::ZERO;
+        for (i, server) in room.servers.iter().enumerate() {
+            let t_cpu = Temperature::from_kelvin(x[2 * i]);
+            let t_box = exhausts[i];
+            let config = server.config();
+            let p = server.heat_output();
+            let b = config.heat_bypass_fraction;
+            let exchange = config.theta_cpu_box * (t_cpu - t_box);
+            let advect = (server.air_flow() * C_AIR) * (inlets[i] - t_box);
+            let d_cpu = (p * (1.0 - b) - exchange) / config.nu_cpu;
+            let d_box = (exchange + p * b + advect) / config.nu_box;
+            dx[2 * i] = d_cpu.as_kelvin_per_second();
+            dx[2 * i + 1] = d_box.as_kelvin_per_second();
+            let spill_conductance = (flows[i] * (1.0 - room.capture[i])) * C_AIR;
+            spilled_heat += spill_conductance * (t_box - t_room);
+        }
+        let mut supply_spill = Watts::ZERO;
+        for (u, crac) in room.cracs.iter().enumerate() {
+            let mut drawn = 0.0;
+            for (i, f) in flows.iter().enumerate() {
+                drawn += room.supply_share[room.zone_of[i]][u]
+                    * room.supply_fraction[i]
+                    * f.as_cubic_meters_per_second();
+            }
+            let excess = FlowRate::cubic_meters_per_second(
+                (crac.config().flow.as_cubic_meters_per_second() - drawn).max(0.0),
+            );
+            supply_spill += (excess * C_AIR) * (supplies[u] - t_room);
+        }
+        let envelope_gain = room.config.envelope.heat_gain(t_room);
+        let room_heat = spilled_heat + supply_spill + envelope_gain;
+        dx[2 * n] = (room_heat / room.config.room_air_capacity).as_kelvin_per_second();
+        for (u, crac) in room.cracs.iter().enumerate() {
+            dx[2 * n + 1 + u] = crac.integral_rate(returns[u], integrals[u]);
+        }
+    }
+
+    /// `room` with a random mix of power states, loads and CRAC modes,
+    /// advanced a few steps so power noise is non-zero, and a random state
+    /// vector around it.
+    fn randomized(mut room: MachineRoom, seed: u64) -> (MachineRoom, Vec<f64>) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut uniform = move |lo: f64, hi: f64| lo + rng.random::<f64>() * (hi - lo);
+        let n = room.len();
+        for i in 0..n {
+            let server = room.server_mut(i);
+            match (uniform(0.0, 4.0)) as u32 {
+                0 => server.power_off(),
+                1 => server.power_on(), // booting
+                _ => server.force_on(),
+            }
+            server.set_load(uniform(0.0, 1.0)).unwrap();
+        }
+        for u in 0..room.zone_count() {
+            let t = Temperature::from_celsius(uniform(12.0, 26.0));
+            room.crac_mut(u).set_mode(if uniform(0.0, 1.0) < 0.5 {
+                CracMode::ReturnSetPoint(t)
+            } else {
+                CracMode::FixedSupply(t)
+            });
+        }
+        for _ in 0..1 + uniform(0.0, 3.0) as usize {
+            room.step();
+        }
+        let mut x: Vec<f64> = (0..2 * n)
+            .map(|_| Temperature::from_celsius(uniform(15.0, 90.0)).as_kelvin())
+            .collect();
+        x.push(Temperature::from_celsius(uniform(15.0, 35.0)).as_kelvin());
+        x.extend((0..room.zone_count()).map(|_| uniform(-0.5, 1.5)));
+        (room, x)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn stage_derivatives_match_the_reference_bit_for_bit(seed in 0u64..u64::MAX, two_zone in 0u8..2) {
+            let room = if two_zone == 1 {
+                crate::materialize(&coolopt_scenario::presets::two_zone_hetero(seed % 7))
+                    .expect("the shipped two-zone scenario materializes")
+            } else {
+                presets::testbed_rack20(seed % 7)
+            };
+            let (room, mut x) = randomized(room, seed);
+            let stage = PlantStage::new(&room, StageBuffers::default());
+            let dim = stage.dim();
+            let (mut expected, mut actual) = (vec![0.0; dim], vec![0.0; dim]);
+            // Several evaluations on one stage, as RK4 makes them: the
+            // reused temporaries must not leak between calls.
+            for _ in 0..4 {
+                reference_derivatives(&room, &x, &mut expected);
+                stage.derivatives(Seconds::ZERO, &x, &mut actual);
+                let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(bits(&actual), bits(&expected));
+                for (xi, di) in x.iter_mut().zip(&expected) {
+                    *xi += 0.5 * di;
+                }
+            }
+        }
     }
 
     fn assert_celsius(actual: Temperature, expected: f64) {

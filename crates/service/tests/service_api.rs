@@ -224,6 +224,27 @@ fn serve_lines_answers_bad_bytes_and_over_long_lines_then_plans() {
 }
 
 #[test]
+fn a_number_outside_the_json_grammar_is_a_malformed_request() {
+    let core = ServiceCore::default();
+    core.register_scenario(&presets::testbed_rack20(0)).unwrap();
+    let replies = serve(
+        &core,
+        b"{\"tenant\":\"testbed_rack20/rack\",\"loads\":[01]}\n",
+    );
+    assert_eq!(replies.len(), 1, "{replies:?}");
+    let reply = serde_json::from_str::<proto::Response>(&replies[0]).unwrap();
+    assert!(!reply.ok);
+    assert!(
+        reply
+            .error
+            .as_deref()
+            .unwrap()
+            .contains("malformed request"),
+        "{reply:?}"
+    );
+}
+
+#[test]
 fn a_request_larger_than_one_batch_is_refused_and_the_next_is_served() {
     let core = ServiceCore::default();
     core.register_scenario(&presets::testbed_rack20(0)).unwrap();

@@ -77,6 +77,9 @@ pub struct OrnsteinUhlenbeck {
     tau: f64,
     sigma: f64,
     value: f64,
+    /// `(dt bits, decay, innovation scale)` of the last step size. A
+    /// simulation steps with one `dt`, so `exp` and `sqrt` run once.
+    coefficients: Option<(u64, f64, f64)>,
 }
 
 impl OrnsteinUhlenbeck {
@@ -94,6 +97,7 @@ impl OrnsteinUhlenbeck {
             tau: tau_secs,
             sigma,
             value: 0.0,
+            coefficients: None,
         }
     }
 
@@ -102,8 +106,15 @@ impl OrnsteinUhlenbeck {
     /// Uses the exact discretization of the OU transition kernel, so any
     /// step size is admissible.
     pub fn step(&mut self, dt_secs: f64) -> f64 {
-        let decay = (-dt_secs / self.tau).exp();
-        let stddev = self.sigma * (1.0 - decay * decay).sqrt();
+        let (decay, stddev) = match self.coefficients {
+            Some((bits, decay, stddev)) if bits == dt_secs.to_bits() => (decay, stddev),
+            _ => {
+                let decay = (-dt_secs / self.tau).exp();
+                let stddev = self.sigma * (1.0 - decay * decay).sqrt();
+                self.coefficients = Some((dt_secs.to_bits(), decay, stddev));
+                (decay, stddev)
+            }
+        };
         self.value = self.value * decay + stddev * self.gaussian.sample();
         self.value
     }
@@ -188,6 +199,22 @@ mod tests {
         ou.value = 8.0;
         ou.step(10.0);
         assert!((ou.value() - 8.0 * (-1.0f64).exp()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn cached_coefficients_match_recomputing_them_every_step() {
+        // Alternating step sizes must switch coefficients, not reuse stale
+        // ones: compare against a twin that forgets them before each step.
+        let mut cached = OrnsteinUhlenbeck::new(17, 30.0, 2.5);
+        let mut fresh = cached.clone();
+        for dt in [1.0, 0.5, 1.0, 1.0, 0.5, 0.5, 1.0, 0.25, 1.0].repeat(20) {
+            fresh.coefficients = None;
+            assert_eq!(
+                cached.step(dt).to_bits(),
+                fresh.step(dt).to_bits(),
+                "dt {dt}"
+            );
+        }
     }
 
     #[test]

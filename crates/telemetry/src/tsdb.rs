@@ -553,28 +553,24 @@ impl Tsdb {
     /// `"*"` match all, a trailing `*` matches the prefix, anything else
     /// is an exact name.
     pub fn query_matching(&self, pattern: &str, query: &RangeQuery) -> Vec<QueryResult> {
-        let names: Vec<String> = {
-            let map = self.series.read().expect("series map poisoned");
-            match pattern {
-                "" | "*" => map.keys().cloned().collect(),
-                p => match p.strip_suffix('*') {
-                    Some(prefix) => map
-                        .keys()
-                        .filter(|n| n.starts_with(prefix))
-                        .cloned()
-                        .collect(),
-                    None => map
-                        .contains_key(p)
-                        .then(|| p.to_string())
-                        .into_iter()
-                        .collect(),
-                },
-            }
-        };
+        let names = matching_names(&self.series.read().expect("series map poisoned"), pattern);
         names
             .iter()
             .filter_map(|name| self.query(name, query))
             .collect()
+    }
+
+    /// Drops every series matching `pattern` (the rules of
+    /// [`Tsdb::query_matching`]) and returns how many went. A writer that
+    /// restarts its clock clears its series first, so that each keeps
+    /// ascending timestamps.
+    pub fn remove_matching(&self, pattern: &str) -> usize {
+        let mut map = self.series.write().expect("series map poisoned");
+        let names = matching_names(&map, pattern);
+        for name in &names {
+            map.remove(name);
+        }
+        names.len()
     }
 
     /// Whole-store accounting.
@@ -597,6 +593,25 @@ impl Tsdb {
             total.raw_bytes += st.raw_bytes();
         }
         total
+    }
+}
+
+/// The names in `map` that `pattern` selects (see [`Tsdb::query_matching`]).
+fn matching_names(map: &BTreeMap<String, Arc<Series>>, pattern: &str) -> Vec<String> {
+    match pattern {
+        "" | "*" => map.keys().cloned().collect(),
+        p => match p.strip_suffix('*') {
+            Some(prefix) => map
+                .keys()
+                .filter(|n| n.starts_with(prefix))
+                .cloned()
+                .collect(),
+            None => map
+                .contains_key(p)
+                .then(|| p.to_string())
+                .into_iter()
+                .collect(),
+        },
     }
 }
 
@@ -954,6 +969,24 @@ mod tests {
         assert_eq!(db.query_matching("a.*", &q).len(), 2);
         assert_eq!(db.query_matching("b.z", &q).len(), 1);
         assert_eq!(db.query_matching("nope", &q).len(), 0);
+    }
+
+    #[test]
+    fn remove_matching_uses_the_query_patterns() {
+        let db = Tsdb::new(TsdbConfig::default());
+        for name in ["a.x", "a.y", "ab.z", "b.z"] {
+            db.append(name, 0, 1.0);
+        }
+        assert_eq!(db.remove_matching("a.*"), 2);
+        assert_eq!(db.series_names(), ["ab.z", "b.z"]);
+        assert_eq!(db.remove_matching("nope"), 0);
+        assert_eq!(db.remove_matching("b.z"), 1);
+        // A removed name starts afresh.
+        db.append("a.x", 5, 2.0);
+        let q = RangeQuery::default();
+        assert_eq!(db.query("a.x", &q).expect("re-created").points, [(5, 2.0)]);
+        assert_eq!(db.remove_matching("*"), 2);
+        assert!(db.series_names().is_empty());
     }
 
     #[test]

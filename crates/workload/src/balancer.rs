@@ -56,6 +56,12 @@ impl DispatchStats {
 pub struct LoadBalancer {
     /// Effective weight of each machine: load fraction × capacity.
     weights: Vec<f64>,
+    /// Sum of `weights`, summed once: the weights never change.
+    total: f64,
+    /// Machines of positive weight, ascending. A machine of weight 0 is
+    /// never picked and its running value never moves, so dispatch skips
+    /// it.
+    positive: Vec<usize>,
     current: Vec<f64>,
     stats: DispatchStats,
 }
@@ -80,6 +86,8 @@ impl LoadBalancer {
             .collect();
         let n = weights.len();
         Ok(LoadBalancer {
+            total: weights.iter().sum(),
+            positive: (0..n).filter(|&i| weights[i] > 0.0).collect(),
             weights,
             current: vec![0.0; n],
             stats: DispatchStats {
@@ -91,21 +99,21 @@ impl LoadBalancer {
 
     /// Total weight (documents/second the assignment can absorb).
     pub fn total_weight(&self) -> f64 {
-        self.weights.iter().sum()
+        self.total
     }
 
     /// Picks the machine for the next document, or `None` when every machine
     /// has zero weight.
     pub fn dispatch(&mut self, _doc: &Document) -> Option<usize> {
-        let total = self.total_weight();
+        let total = self.total;
         if total <= 0.0 {
             return None;
         }
         let mut best = None;
         let mut best_val = f64::NEG_INFINITY;
-        for i in 0..self.weights.len() {
+        for &i in &self.positive {
             self.current[i] += self.weights[i];
-            if self.weights[i] > 0.0 && self.current[i] > best_val {
+            if self.current[i] > best_val {
                 best_val = self.current[i];
                 best = Some(i);
             }
@@ -199,6 +207,50 @@ mod tests {
         let seq: Vec<_> = (0..10).map(|_| lb.dispatch(&d).unwrap()).collect();
         for w in seq.windows(2) {
             assert_ne!(w[0], w[1], "bursty dispatch: {seq:?}");
+        }
+    }
+
+    /// The full scan every machine used to take: add each weight, pick
+    /// the largest running value among positive weights, charge it the
+    /// re-summed total.
+    fn full_scan_sequence(weights: &[f64], docs: usize) -> Vec<Option<usize>> {
+        let mut current = vec![0.0; weights.len()];
+        (0..docs)
+            .map(|_| {
+                let total: f64 = weights.iter().sum();
+                if total <= 0.0 {
+                    return None;
+                }
+                let mut best = None;
+                let mut best_val = f64::NEG_INFINITY;
+                for i in 0..weights.len() {
+                    current[i] += weights[i];
+                    if weights[i] > 0.0 && current[i] > best_val {
+                        best_val = current[i];
+                        best = Some(i);
+                    }
+                }
+                let chosen = best?;
+                current[chosen] -= total;
+                Some(chosen)
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn dispatch_matches_the_full_scan(
+            raw in proptest::collection::vec((0.0f64..1.0, 0u8..3), 1..24),
+            fps in 1.0f64..400.0,
+        ) {
+            // Roughly a third of the machines are idle (weight 0).
+            let loads: Vec<f64> = raw.iter().map(|&(l, kind)| if kind == 0 { 0.0 } else { l }).collect();
+            let weights: Vec<f64> = loads.iter().map(|l| l * fps).collect();
+            let n = loads.len();
+            let mut lb = LoadBalancer::new(&LoadVector::new(loads).unwrap(), &capacities(n, fps)).unwrap();
+            let d = doc();
+            let sequence: Vec<_> = (0..500).map(|_| lb.dispatch(&d)).collect();
+            proptest::prop_assert_eq!(sequence, full_scan_sequence(&weights, 500));
         }
     }
 
