@@ -244,6 +244,10 @@ pub fn run_load_trace_with(
     if let Some(prefix) = &options.tsdb_prefix {
         telemetry::tsdb().remove_matching(&format!("{prefix}.*"));
     }
+    // The series names are built once; the step loop only appends.
+    let tsdb_names: Option<[String; 3]> = options.tsdb_prefix.as_ref().map(|prefix| {
+        ["computing_watts", "cooling_watts", "margin_kelvin"].map(|name| format!("{prefix}.{name}"))
+    });
 
     let mut replans = 0usize;
     let mut plan_failures = 0usize;
@@ -380,16 +384,12 @@ pub fn run_load_trace_with(
         // The time-series store gets the energy split and the safety
         // margin at the same cadence, on the simulation clock.
         if k % every == 0 {
-            if let Some(prefix) = &options.tsdb_prefix {
+            if let Some([computing, cooling, margin]) = &tsdb_names {
                 let db = telemetry::tsdb();
                 let sim_ms = (now.as_secs_f64() * 1000.0) as i64;
-                db.append(&format!("{prefix}.computing_watts"), sim_ms, pc.as_watts());
-                db.append(&format!("{prefix}.cooling_watts"), sim_ms, pk.as_watts());
-                db.append(
-                    &format!("{prefix}.margin_kelvin"),
-                    sim_ms,
-                    t_max.as_kelvin() - hottest,
-                );
+                db.append(computing, sim_ms, pc.as_watts());
+                db.append(cooling, sim_ms, pk.as_watts());
+                db.append(margin, sim_ms, t_max.as_kelvin() - hottest);
             }
         }
     }

@@ -21,7 +21,7 @@ use coolopt_machine::{CpuTempSensor, PowerMeter, Server, ThermalTerms};
 use coolopt_sim::ode::{Dynamics, Integrator, Rk4};
 use coolopt_sim::{SimClock, SimScratch, TrendDetector};
 use coolopt_units::{Conductance, FlowRate, HeatCapacity, Seconds, Temperature, Watts, C_AIR};
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::fmt;
 use std::ops::Range;
 
@@ -119,12 +119,17 @@ pub struct MachineRoom {
     ode_state: Vec<f64>,
     /// Persistent integrator workspace for [`MachineRoom::step`].
     scratch: SimScratch,
-    /// Persistent [`PlantStage`] buffers for [`MachineRoom::step`].
-    stage: StageBuffers,
-    /// Air-path buffers of the observation methods ([`MachineRoom::air_state`],
-    /// [`MachineRoom::cooling_power`]), which only get `&self`, hence the
-    /// interior mutability. Never held across a call.
-    air_buffers: RefCell<AirBuffers>,
+    /// Persistent per-server [`ThermalTerms`] buffer of [`PlantStage`].
+    thermal: Vec<ThermalTerms>,
+    /// The terms derived from the servers' air flows, kept across steps
+    /// and rebuilt by [`MachineRoom::flow_terms`] when a flow changes.
+    /// The observation methods only get `&self`, hence the interior
+    /// mutability.
+    flow_terms: RefCell<FlowTerms>,
+    /// Air-path temperatures, rewritten by every stage evaluation and
+    /// every observation ([`MachineRoom::air_state`],
+    /// [`MachineRoom::cooling_power`]). Never held across a call.
+    air: RefCell<AirTemps>,
 }
 
 /// Per-CRAC return-duct coefficients for one set of server flows.
@@ -148,38 +153,33 @@ struct AirTemps {
     zone_means: Vec<f64>,
 }
 
-/// Buffers of the observation methods: the current flows, their duct
-/// coefficients and the temperatures they give.
+/// The terms that depend only on the servers' air flows. A flow changes
+/// only with a power state, so these outlive many steps; everything else
+/// they read (fractions, shares, CRAC flows) is fixed when the room is
+/// built.
 #[derive(Debug, Clone, Default)]
-struct AirBuffers {
+struct FlowTerms {
+    /// Per server: the flow the terms below were built for.
     flows: Vec<FlowRate>,
-    ducts: Ducts,
-    temps: AirTemps,
-}
-
-/// Buffers of one [`PlantStage`], kept on the room between steps so that a
-/// step allocates nothing.
-#[derive(Debug, Clone, Default)]
-struct StageBuffers {
-    terms: StepTerms,
-    temps: AirTemps,
-}
-
-/// The terms the four RK4 stage evaluations of one step hold fixed: they
-/// depend on the servers' power states, loads and noise, which change only
-/// between steps, never on the integrated temperatures.
-#[derive(Debug, Clone, Default)]
-struct StepTerms {
-    /// Per server: its heat split and advective conductance.
-    thermal: Vec<ThermalTerms>,
     /// Per server: conductance of its uncaptured exhaust into the room,
     /// `(F·(1−capture))·c_air`.
     spill: Vec<Conductance>,
-    flows: Vec<FlowRate>,
     ducts: Ducts,
     /// Per CRAC: conductance of the supply air no server draws, which
     /// spills into the room at the unit's supply temperature.
     unclaimed: Vec<Conductance>,
+}
+
+impl FlowTerms {
+    /// `true` when every server's flow equals, bit for bit, the one these
+    /// terms were built for.
+    fn fit(&self, servers: &[Server]) -> bool {
+        self.flows.len() == servers.len()
+            && servers.iter().zip(&self.flows).all(|(s, f)| {
+                s.air_flow().as_cubic_meters_per_second().to_bits()
+                    == f.as_cubic_meters_per_second().to_bits()
+            })
+    }
 }
 
 /// View of the instantaneous air-path temperatures.
@@ -356,8 +356,9 @@ impl MachineRoom {
             power_meters,
             ode_state: Vec::with_capacity(dim),
             scratch: SimScratch::with_dim(dim),
-            stage: StageBuffers::default(),
-            air_buffers: RefCell::new(AirBuffers::default()),
+            thermal: Vec::with_capacity(n),
+            flow_terms: RefCell::default(),
+            air: RefCell::default(),
         })
     }
 
@@ -516,15 +517,15 @@ impl MachineRoom {
 
     /// Instantaneous air-path temperatures for the current state.
     pub fn air_state(&self) -> AirState {
-        let mut buffers = self.air_buffers.borrow_mut();
-        self.current_air(&mut buffers);
+        let mut temps = self.air.borrow_mut();
+        self.current_air(&mut temps);
         let AirTemps {
             exhausts,
             inlets,
             returns,
             supplies,
             zone_means,
-        } = &mut buffers.temps;
+        } = &mut *temps;
         self.inlet_temps_into(supplies, exhausts, self.t_room, zone_means, inlets);
         AirState {
             returns: returns.clone(),
@@ -538,11 +539,11 @@ impl MachineRoom {
     /// without allocating: the measurement window samples these every
     /// step.
     pub(crate) fn first_crac_air_and_cooling(&self) -> (Temperature, Temperature, Watts) {
-        let mut buffers = self.air_buffers.borrow_mut();
-        self.current_air(&mut buffers);
+        let mut temps = self.air.borrow_mut();
+        self.current_air(&mut temps);
         let AirTemps {
             returns, supplies, ..
-        } = &buffers.temps;
+        } = &*temps;
         (returns[0], supplies[0], self.cooling_power_at(returns))
     }
 
@@ -554,13 +555,8 @@ impl MachineRoom {
     /// Electrical power of all cooling units. Allocation-free: it sits
     /// inside settle and recording loops.
     pub fn cooling_power(&self) -> Watts {
-        let mut buffers = self.air_buffers.borrow_mut();
-        let AirBuffers {
-            flows,
-            ducts,
-            temps,
-        } = &mut *buffers;
-        self.current_returns(flows, ducts, temps);
+        let mut temps = self.air.borrow_mut();
+        self.current_returns(&mut temps);
         self.cooling_power_at(&temps.returns)
     }
 
@@ -590,15 +586,10 @@ impl MachineRoom {
         self.power_meters[i].read(p)
     }
 
-    /// Fills `buffers` with the current state's exhausts, returns and
+    /// Fills `temps` with the current state's exhausts, returns and
     /// supplies.
-    fn current_air(&self, buffers: &mut AirBuffers) {
-        let AirBuffers {
-            flows,
-            ducts,
-            temps,
-        } = buffers;
-        self.current_returns(flows, ducts, temps);
+    fn current_air(&self, temps: &mut AirTemps) {
+        self.current_returns(temps);
         temps.supplies.clear();
         temps.supplies.extend(
             self.cracs
@@ -608,17 +599,64 @@ impl MachineRoom {
         );
     }
 
-    /// Fills `flows`, `ducts` and the exhausts from the current server
-    /// state, and the returns from them.
-    fn current_returns(&self, flows: &mut Vec<FlowRate>, ducts: &mut Ducts, temps: &mut AirTemps) {
-        flows.clear();
+    /// Fills the exhausts from the current server state, and the returns
+    /// from them.
+    fn current_returns(&self, temps: &mut AirTemps) {
         temps.exhausts.clear();
-        for s in &self.servers {
-            flows.push(s.air_flow());
-            temps.exhausts.push(s.exhaust_temp());
+        temps
+            .exhausts
+            .extend(self.servers.iter().map(Server::exhaust_temp));
+        let ducts = &self.flow_terms().ducts;
+        self.return_temps_into(ducts, &temps.exhausts, self.t_room, &mut temps.returns);
+    }
+
+    /// The flow-derived terms for the servers' current air flows, rebuilt
+    /// only when some flow differs from the one they were built for. A
+    /// comparison rather than a dirty flag, so a power state changed
+    /// through [`MachineRoom::server_mut`] is caught too.
+    fn flow_terms(&self) -> Ref<'_, FlowTerms> {
+        if !self.flow_terms.borrow().fit(&self.servers) {
+            self.build_flow_terms(&mut self.flow_terms.borrow_mut());
+        }
+        self.flow_terms.borrow()
+    }
+
+    /// Drops the cached flow terms, so the next reader rebuilds them: a
+    /// twin that calls this before every step and observation is the room
+    /// without the cache.
+    #[cfg(test)]
+    fn forget_flow_terms(&self) {
+        *self.flow_terms.borrow_mut() = FlowTerms::default();
+    }
+
+    fn build_flow_terms(&self, terms: &mut FlowTerms) {
+        let FlowTerms {
+            flows,
+            spill,
+            ducts,
+            unclaimed,
+        } = terms;
+        spill.clear();
+        flows.clear();
+        for (s, &capture) in self.servers.iter().zip(&self.capture) {
+            let flow = s.air_flow();
+            spill.push((flow * (1.0 - capture)) * C_AIR);
+            flows.push(flow);
         }
         self.ducts_into(flows, ducts);
-        self.return_temps_into(ducts, &temps.exhausts, self.t_room, &mut temps.returns);
+        unclaimed.clear();
+        for (u, crac) in self.cracs.iter().enumerate() {
+            let mut drawn = 0.0;
+            for (i, f) in flows.iter().enumerate() {
+                drawn += self.supply_share[self.zone_of[i]][u]
+                    * self.supply_fraction[i]
+                    * f.as_cubic_meters_per_second();
+            }
+            let excess = FlowRate::cubic_meters_per_second(
+                (crac.config().flow.as_cubic_meters_per_second() - drawn).max(0.0),
+            );
+            unclaimed.push(excess * C_AIR);
+        }
     }
 
     /// The return-duct coefficients for per-server `flows`: CRAC `u`
@@ -745,19 +783,19 @@ impl MachineRoom {
     /// Advances the simulation by one step `dt`.
     ///
     /// The hot path is allocation-free: the packed state, the integrator
-    /// workspace and the buffers of the step's fixed terms live on the
+    /// workspace and the buffer of the step's thermal terms live on the
     /// room and are taken out for the duration of the step (the integrator
     /// needs `&self` while the buffers are borrowed mutably).
     pub fn step(&mut self) {
         let mut state = std::mem::take(&mut self.ode_state);
         let mut scratch = std::mem::take(&mut self.scratch);
-        let buffers = std::mem::take(&mut self.stage);
+        let thermal = std::mem::take(&mut self.thermal);
         self.pack_state_into(&mut state);
         let t = self.clock.now();
         let dt = self.clock.dt();
-        let stage = PlantStage::new(self, buffers);
+        let stage = PlantStage::new(self, thermal);
         Rk4::new().step_with(&stage, t, dt, &mut state, &mut scratch);
-        self.stage = stage.into_buffers();
+        self.thermal = stage.into_thermal();
         self.unpack_state(&state);
         for s in &mut self.servers {
             s.advance(dt.as_secs_f64());
@@ -805,66 +843,36 @@ impl MachineRoom {
 
 /// The room's ODE over one step, as RK4 evaluates it.
 ///
-/// [`PlantStage::new`] computes once what the step's four stage
-/// evaluations hold fixed ([`StepTerms`]): every server's heat split and
-/// air conductances, the return-duct coefficients and the unclaimed supply
-/// conductances. An evaluation then does only the arithmetic on the
-/// candidate temperatures. Each expression keeps its operands and its
-/// order of evaluation, so the derivatives are bit-identical to evaluating
-/// everything from the room in every stage.
+/// [`PlantStage::new`] gathers what the step's four stage evaluations
+/// hold fixed: every server's heat split and advective conductance
+/// ([`ThermalTerms`], new each step since the power noise moves) and the
+/// room's cached [`FlowTerms`] (spill conductances, return-duct
+/// coefficients, unclaimed supply conductances). An evaluation then does
+/// only the arithmetic on the candidate temperatures. Each expression
+/// keeps its operands and its order of evaluation, so the derivatives are
+/// bit-identical to evaluating everything from the room in every stage.
 struct PlantStage<'a> {
     room: &'a MachineRoom,
-    terms: StepTerms,
-    /// Rewritten by every evaluation, which only gets `&self`.
-    temps: RefCell<AirTemps>,
+    /// Per server: its heat split and advective conductance.
+    thermal: Vec<ThermalTerms>,
+    flow: Ref<'a, FlowTerms>,
 }
 
 impl<'a> PlantStage<'a> {
-    /// Fills `buffers`' fixed terms from the room's current servers.
-    fn new(room: &'a MachineRoom, buffers: StageBuffers) -> Self {
-        let StageBuffers { mut terms, temps } = buffers;
-        let StepTerms {
-            thermal,
-            spill,
-            flows,
-            ducts,
-            unclaimed,
-        } = &mut terms;
+    /// Fills `thermal` from the room's current servers.
+    fn new(room: &'a MachineRoom, mut thermal: Vec<ThermalTerms>) -> Self {
         thermal.clear();
-        spill.clear();
-        flows.clear();
-        for (s, &capture) in room.servers.iter().zip(&room.capture) {
-            let flow = s.air_flow();
-            thermal.push(s.thermal_terms());
-            spill.push((flow * (1.0 - capture)) * C_AIR);
-            flows.push(flow);
-        }
-        room.ducts_into(flows, ducts);
-        unclaimed.clear();
-        for (u, crac) in room.cracs.iter().enumerate() {
-            let mut drawn = 0.0;
-            for (i, f) in flows.iter().enumerate() {
-                drawn += room.supply_share[room.zone_of[i]][u]
-                    * room.supply_fraction[i]
-                    * f.as_cubic_meters_per_second();
-            }
-            let excess = FlowRate::cubic_meters_per_second(
-                (crac.config().flow.as_cubic_meters_per_second() - drawn).max(0.0),
-            );
-            unclaimed.push(excess * C_AIR);
-        }
+        thermal.extend(room.servers.iter().map(Server::thermal_terms));
         PlantStage {
             room,
-            terms,
-            temps: RefCell::new(temps),
+            thermal,
+            flow: room.flow_terms(),
         }
     }
 
-    fn into_buffers(self) -> StageBuffers {
-        StageBuffers {
-            terms: self.terms,
-            temps: self.temps.into_inner(),
-        }
+    /// Hands the thermal buffer back and releases the flow terms.
+    fn into_thermal(self) -> Vec<ThermalTerms> {
+        self.thermal
     }
 }
 
@@ -875,14 +883,14 @@ impl Dynamics for PlantStage<'_> {
 
     fn derivatives(&self, _t: Seconds, x: &[f64], dx: &mut [f64]) {
         let room = self.room;
-        let terms = &self.terms;
+        let flow = &*self.flow;
         let n = room.servers.len();
         let t_room = Temperature::from_kelvin(x[2 * n]);
         let integrals = &x[2 * n + 1..];
 
-        // Nothing below re-enters `derivatives`, so the RefCell never
-        // double-borrows.
-        let mut temps = self.temps.borrow_mut();
+        // Nothing below re-enters `derivatives` or observes the room, so
+        // the RefCell never double-borrows.
+        let mut temps = room.air.borrow_mut();
         let AirTemps {
             exhausts,
             inlets,
@@ -892,7 +900,7 @@ impl Dynamics for PlantStage<'_> {
         } = &mut *temps;
         exhausts.clear();
         exhausts.extend((0..n).map(|i| Temperature::from_kelvin(x[2 * i + 1])));
-        room.return_temps_into(&terms.ducts, exhausts, t_room, returns);
+        room.return_temps_into(&flow.ducts, exhausts, t_room, returns);
         supplies.clear();
         supplies.extend(
             room.cracs
@@ -904,7 +912,7 @@ impl Dynamics for PlantStage<'_> {
         room.inlet_temps_into(supplies, exhausts, t_room, zone_means, inlets);
 
         let mut spilled_heat = Watts::ZERO;
-        for (i, (thermal, &spill)) in terms.thermal.iter().zip(&terms.spill).enumerate() {
+        for (i, (thermal, &spill)) in self.thermal.iter().zip(&flow.spill).enumerate() {
             let t_cpu = Temperature::from_kelvin(x[2 * i]);
             let t_box = exhausts[i];
             let (d_cpu, d_box) = thermal.rates(inlets[i], t_cpu, t_box);
@@ -916,7 +924,7 @@ impl Dynamics for PlantStage<'_> {
         // Supply air not drawn through each CRAC spills into the room at
         // that unit's supply temperature.
         let mut supply_spill = Watts::ZERO;
-        for (&unclaimed, &supply) in terms.unclaimed.iter().zip(supplies.iter()) {
+        for (&unclaimed, &supply) in flow.unclaimed.iter().zip(supplies.iter()) {
             supply_spill += unclaimed * (supply - t_room);
         }
         let envelope_gain = room.config.envelope.heat_gain(t_room);
@@ -1186,7 +1194,7 @@ mod tests {
                 presets::testbed_rack20(seed % 7)
             };
             let (room, mut x) = randomized(room, seed);
-            let stage = PlantStage::new(&room, StageBuffers::default());
+            let stage = PlantStage::new(&room, Vec::new());
             let dim = stage.dim();
             let (mut expected, mut actual) = (vec![0.0; dim], vec![0.0; dim]);
             // Several evaluations on one stage, as RK4 makes them: the
@@ -1199,6 +1207,90 @@ mod tests {
                 for (xi, di) in x.iter_mut().zip(&expected) {
                     *xi += 0.5 * di;
                 }
+            }
+        }
+    }
+
+    /// The bits of everything a caller can observe of `room`: its packed
+    /// state, cooling and total power, the air state and the measurement
+    /// window's CRAC 0 reading.
+    fn observed_bits(room: &MachineRoom, forget: bool) -> Vec<u64> {
+        let kelvin = |temps: &[Temperature]| {
+            temps
+                .iter()
+                .map(|t| t.as_kelvin().to_bits())
+                .collect::<Vec<_>>()
+        };
+        let mut bits = Vec::new();
+        let mut state = Vec::new();
+        room.pack_state_into(&mut state);
+        bits.extend(state.iter().map(|x| x.to_bits()));
+        let mut observe = |value: &dyn Fn() -> Vec<u64>| {
+            if forget {
+                room.forget_flow_terms();
+            }
+            bits.extend(value());
+        };
+        observe(&|| vec![room.cooling_power().as_watts().to_bits()]);
+        observe(&|| vec![room.total_power().as_watts().to_bits()]);
+        observe(&|| {
+            let air = room.air_state();
+            [air.returns, air.supplies, air.inlets]
+                .iter()
+                .flat_map(|temps| kelvin(temps))
+                .collect()
+        });
+        observe(&|| {
+            let (t_ret, t_sup, cooling) = room.first_crac_air_and_cooling();
+            let mut v = kelvin(&[t_ret, t_sup]);
+            v.push(cooling.as_watts().to_bits());
+            v
+        });
+        bits
+    }
+
+    #[test]
+    fn cached_flow_terms_match_rebuilding_them_every_step() {
+        let rooms = [
+            presets::testbed_rack20(3),
+            crate::materialize(&coolopt_scenario::presets::two_zone_hetero(3))
+                .expect("the shipped two-zone scenario materializes"),
+        ];
+        for mut cached in rooms {
+            let n = cached.len();
+            cached.force_all_on();
+            let loads: Vec<f64> = (0..n).map(|i| (i % 5) as f64 / 4.0).collect();
+            cached.set_loads(&loads).unwrap();
+            cached.set_set_point(Temperature::from_celsius(19.0));
+            // The twin rebuilds its flow terms before every step and
+            // every observation.
+            let mut fresh = cached.clone();
+            let lower_half: Vec<usize> = (0..n / 2).collect();
+            let every_other: Vec<usize> = (0..n).step_by(2).collect();
+            for k in 0..400 {
+                // Change power states every few steps, through every route
+                // a caller has, and observe before stepping as well.
+                let change: Option<&dyn Fn(&mut MachineRoom)> = match k % 50 {
+                    5 => Some(&|room| room.apply_on_set(&lower_half)),
+                    15 => Some(&|room| room.command_on_set(&every_other)), // boots
+                    25 => Some(&|room| room.server_mut(k % n).power_off()),
+                    30 => Some(&|room| room.server_mut(1).power_on()),
+                    40 => Some(&|room| room.force_all_on()),
+                    _ => None,
+                };
+                if let Some(change) = change {
+                    change(&mut cached);
+                    change(&mut fresh);
+                    assert_eq!(observed_bits(&cached, false), observed_bits(&fresh, true));
+                }
+                fresh.forget_flow_terms();
+                cached.step();
+                fresh.step();
+                assert_eq!(
+                    observed_bits(&cached, false),
+                    observed_bits(&fresh, true),
+                    "step {k}"
+                );
             }
         }
     }

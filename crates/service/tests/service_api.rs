@@ -245,6 +245,27 @@ fn a_number_outside_the_json_grammar_is_a_malformed_request() {
 }
 
 #[test]
+fn an_escaped_surrogate_pair_reaches_the_tenant_lookup() {
+    let core = ServiceCore::default();
+    core.register_scenario(&presets::testbed_rack20(0)).unwrap();
+    // `\ud83d\ude00` is U+1F600 in JSON's UTF-16 escapes; a lone half is not
+    // a character.
+    let replies = serve(
+        &core,
+        b"{\"tenant\":\"x\\ud83d\\ude00\",\"loads\":[1]}\n\
+          {\"tenant\":\"x\\ud83d\",\"loads\":[1]}\n",
+    );
+    assert_eq!(replies.len(), 2, "{replies:?}");
+    let error = |line: &str| {
+        let reply = serde_json::from_str::<proto::Response>(line).unwrap();
+        assert!(!reply.ok, "{reply:?}");
+        reply.error.unwrap()
+    };
+    assert_eq!(error(&replies[0]), "unknown tenant \"x\u{1F600}\"");
+    assert!(error(&replies[1]).contains("malformed request"));
+}
+
+#[test]
 fn a_request_larger_than_one_batch_is_refused_and_the_next_is_served() {
     let core = ServiceCore::default();
     core.register_scenario(&presets::testbed_rack20(0)).unwrap();

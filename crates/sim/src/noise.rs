@@ -9,8 +9,78 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt;
+use std::sync::{Arc, OnceLock};
+
+/// Variates per [`Chunk`]. Even, so every chunk ends on a whole
+/// Box–Muller pair and the next one starts with no spare to carry.
+const CHUNK_LEN: usize = 64;
+const _: () = assert!(CHUNK_LEN.is_multiple_of(2));
+
+/// An immutable run of standard-normal variates of one stream, and the
+/// generator state that follows its last value.
+struct Chunk {
+    values: [f64; CHUNK_LEN],
+    rng: StdRng,
+    /// The stream's next chunk, built by the first clone that reaches it.
+    next: OnceLock<Arc<Chunk>>,
+}
+
+impl Chunk {
+    /// The chunk a new stream starts past: no variates, only the seeded
+    /// generator, so a stream that is never sampled draws nothing.
+    fn seed(seed: u64) -> Arc<Chunk> {
+        Arc::new(Chunk {
+            values: [0.0; CHUNK_LEN],
+            rng: StdRng::seed_from_u64(seed),
+            next: OnceLock::new(),
+        })
+    }
+
+    /// The chunk after this one, built on first use and shared with every
+    /// clone that reaches it later.
+    fn next(&self) -> Arc<Chunk> {
+        Arc::clone(self.next.get_or_init(|| {
+            let mut rng = self.rng.clone();
+            let mut values = [0.0; CHUNK_LEN];
+            for pair in values.chunks_exact_mut(2) {
+                // Box–Muller, u1 ∈ (0, 1] to keep ln(u1) finite.
+                let u1: f64 = 1.0 - rng.random::<f64>();
+                let u2: f64 = rng.random::<f64>();
+                let r = (-2.0 * u1.ln()).sqrt();
+                let theta = 2.0 * std::f64::consts::PI * u2;
+                pair[0] = r * theta.cos();
+                pair[1] = r * theta.sin();
+            }
+            Arc::new(Chunk {
+                values,
+                rng,
+                next: OnceLock::new(),
+            })
+        }))
+    }
+}
+
+impl Drop for Chunk {
+    /// Frees the chain that follows this chunk one link at a time, since a
+    /// recursive drop of a long chain would overflow the stack. Stops at
+    /// the first chunk some stream still holds.
+    fn drop(&mut self) {
+        let mut next = self.next.take();
+        while let Some(mut chunk) = next.and_then(Arc::into_inner) {
+            next = chunk.next.take();
+        }
+    }
+}
 
 /// A stream of independent Gaussian samples `N(mean, stddev²)`.
+///
+/// Clones share the variates they draw. The standard-normal values live in
+/// immutable chunks linked in stream order; the first clone to run past a
+/// chunk builds the next one and every other clone reads it. A stream
+/// holds only the chunks from its own position onward, and its samples are
+/// bit-identical to drawing each Box–Muller pair in turn from one
+/// generator.
 ///
 /// ```
 /// use coolopt_sim::GaussianNoise;
@@ -19,13 +89,13 @@ use rand::{Rng, SeedableRng};
 /// // The stream is deterministic for a fixed seed:
 /// assert_eq!(GaussianNoise::new(7, 0.0, 1.0).sample(), first);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct GaussianNoise {
-    rng: StdRng,
+    chunk: Arc<Chunk>,
+    /// Index of the next variate in `chunk`; `CHUNK_LEN` once it is spent.
+    pos: usize,
     mean: f64,
     stddev: f64,
-    /// Box–Muller produces two variates per transform; the spare is cached.
-    spare: Option<f64>,
 }
 
 impl GaussianNoise {
@@ -40,30 +110,32 @@ impl GaussianNoise {
             "stddev must be finite and non-negative, got {stddev}"
         );
         GaussianNoise {
-            rng: StdRng::seed_from_u64(seed),
+            chunk: Chunk::seed(seed),
+            pos: CHUNK_LEN,
             mean,
             stddev,
-            spare: None,
         }
     }
 
     /// Draws the next sample.
     pub fn sample(&mut self) -> f64 {
-        self.mean + self.stddev * self.standard()
-    }
-
-    /// Draws a standard-normal variate via Box–Muller.
-    fn standard(&mut self) -> f64 {
-        if let Some(z) = self.spare.take() {
-            return z;
+        if self.pos == CHUNK_LEN {
+            self.chunk = self.chunk.next();
+            self.pos = 0;
         }
-        // u1 ∈ (0, 1] to keep ln(u1) finite.
-        let u1: f64 = 1.0 - self.rng.random::<f64>();
-        let u2: f64 = self.rng.random::<f64>();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * u2;
-        self.spare = Some(r * theta.sin());
-        r * theta.cos()
+        let z = self.chunk.values[self.pos];
+        self.pos += 1;
+        self.mean + self.stddev * z
+    }
+}
+
+impl fmt::Debug for GaussianNoise {
+    /// Names the distribution only: walking the shared chain could be long.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("GaussianNoise")
+            .field("mean", &self.mean)
+            .field("stddev", &self.stddev)
+            .finish_non_exhaustive()
     }
 }
 
@@ -128,6 +200,108 @@ impl OrnsteinUhlenbeck {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-stream generator [`GaussianNoise`] replaced: one Box–Muller
+    /// pair at a time, its second value kept as a spare. The shared chunks
+    /// must reproduce it bit for bit.
+    #[derive(Clone)]
+    struct ReferenceGaussian {
+        rng: StdRng,
+        mean: f64,
+        stddev: f64,
+        spare: Option<f64>,
+    }
+
+    impl ReferenceGaussian {
+        fn new(seed: u64, mean: f64, stddev: f64) -> Self {
+            ReferenceGaussian {
+                rng: StdRng::seed_from_u64(seed),
+                mean,
+                stddev,
+                spare: None,
+            }
+        }
+
+        fn sample(&mut self) -> f64 {
+            self.mean + self.stddev * self.standard()
+        }
+
+        fn standard(&mut self) -> f64 {
+            if let Some(z) = self.spare.take() {
+                return z;
+            }
+            // u1 ∈ (0, 1] to keep ln(u1) finite.
+            let u1: f64 = 1.0 - self.rng.random::<f64>();
+            let u2: f64 = self.rng.random::<f64>();
+            let r = (-2.0 * u1.ln()).sqrt();
+            let theta = 2.0 * std::f64::consts::PI * u2;
+            self.spare = Some(r * theta.sin());
+            r * theta.cos()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random programs of "draw on clone k" and "clone clone k": every
+        /// clone draws what one reference stream would at its position.
+        #[test]
+        fn clones_draw_the_reference_stream_bit_for_bit(
+            seed in 0u64..u64::MAX,
+            mean in -50.0f64..50.0,
+            stddev in 0.0f64..10.0,
+            program in prop::collection::vec((0u8..8, 0usize..64), 200..600),
+        ) {
+            let mut streams = vec![(
+                GaussianNoise::new(seed, mean, stddev),
+                ReferenceGaussian::new(seed, mean, stddev),
+            )];
+            for (op, k) in program {
+                let k = k % streams.len();
+                if op == 0 && streams.len() < 8 {
+                    let twin = streams[k].clone();
+                    streams.push(twin);
+                } else {
+                    let (noise, reference) = &mut streams[k];
+                    prop_assert_eq!(noise.sample().to_bits(), reference.sample().to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_long_pinned_chain_drops_without_overflowing_the_stack() {
+        let pinned = GaussianNoise::new(3, 0.0, 1.0);
+        let mut runner = pinned.clone();
+        for _ in 0..1_000_000 {
+            runner.sample();
+        }
+        drop(runner);
+        // The pinned stream frees the whole chain from its head.
+        drop(pinned);
+    }
+
+    #[test]
+    fn an_unshared_stream_frees_the_chunks_behind_it() {
+        let mut noise = GaussianNoise::new(11, 0.0, 1.0);
+        noise.sample();
+        let first = Arc::downgrade(&noise.chunk);
+        for _ in 0..200 {
+            noise.sample();
+        }
+        assert!(
+            first.upgrade().is_none(),
+            "the first chunk outlived its reader"
+        );
+    }
+
+    #[test]
+    fn streams_stay_send_and_sync() {
+        fn shareable<T: Send + Sync>() {}
+        shareable::<GaussianNoise>();
+        shareable::<OrnsteinUhlenbeck>();
+    }
 
     #[test]
     fn gaussian_is_deterministic_per_seed() {

@@ -19,13 +19,15 @@
 
 use crate::metrics::Histogram;
 use crate::tracefmt::{Attr, RecordKind, TraceRecord, TraceSnapshot};
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, RefCell, UnsafeCell};
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Default flight-recorder capacity (records). Each record is a fixed
-/// ~200 bytes, so the default ring is a few megabytes.
+/// Default flight-recorder capacity (records). Each slot is a fixed
+/// ~230 bytes, so the default ring reserves a few megabytes; it becomes
+/// resident only as slots are written.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 16_384;
 
 /// Attributes a single record can carry.
@@ -46,21 +48,12 @@ struct RawRecord {
     attrs: RawAttrs,
 }
 
-const EMPTY_RECORD: RawRecord = RawRecord {
-    kind: RecordKind::Instant,
-    name: "",
-    id: 0,
-    parent: 0,
-    thread: 0,
-    start_ns: 0,
-    end_ns: 0,
-    attrs: [None; MAX_SPAN_ATTRS],
-};
-
+/// One ring slot. All-zero bytes are a never-written slot.
 struct Slot {
     /// 0 = never written; odd = write in progress; even = published.
     seq: AtomicU64,
-    data: std::cell::UnsafeCell<RawRecord>,
+    /// Initialized once `seq` has been published.
+    data: UnsafeCell<MaybeUninit<RawRecord>>,
 }
 
 /// The lock-free ring buffer of span/event records.
@@ -77,15 +70,22 @@ unsafe impl Sync for FlightRecorder {}
 impl FlightRecorder {
     fn with_capacity(capacity: usize) -> Self {
         let capacity = capacity.max(16);
+        // SAFETY: a zeroed `Slot` is valid: `seq` 0 (never written) and
+        // uninitialized data. The zeroed pages come from the allocator
+        // untouched, so a slot costs resident memory once it is written.
+        let slots = unsafe { Box::<[Slot]>::new_zeroed_slice(capacity).assume_init() };
         FlightRecorder {
-            slots: (0..capacity)
-                .map(|_| Slot {
-                    seq: AtomicU64::new(0),
-                    data: std::cell::UnsafeCell::new(EMPTY_RECORD),
-                })
-                .collect(),
+            slots,
             head: AtomicU64::new(0),
         }
+    }
+
+    /// The slots written since the ring was built or reset: writes go
+    /// round the ring from slot 0, so no slot past these holds a record.
+    fn written_slots(&self) -> &[Slot] {
+        // A count only: each slot's own `seq` publishes its record.
+        let written = self.head.load(Ordering::Relaxed);
+        &self.slots[..written.min(self.slots.len() as u64) as usize]
     }
 
     fn write(&self, record: RawRecord) {
@@ -105,13 +105,14 @@ impl FlightRecorder {
         // SAFETY: the odd claim ticket excludes other writers until the
         // publish store below; readers discard copies whose surrounding
         // sequence reads disagree or are odd.
-        unsafe { *slot.data.get() = record };
+        unsafe { (*slot.data.get()).write(record) };
         slot.seq.store(publish, Ordering::Release);
     }
 
     fn snapshot(&self) -> TraceSnapshot {
-        let mut records = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
+        let slots = self.written_slots();
+        let mut records = Vec::with_capacity(slots.len());
+        for slot in slots {
             let s1 = slot.seq.load(Ordering::Acquire);
             if s1 == 0 || s1 & 1 == 1 {
                 continue;
@@ -119,11 +120,14 @@ impl FlightRecorder {
             // SAFETY: the copy is validated by re-reading the sequence; a
             // concurrent writer flips it odd first, so s1 == s2 (even)
             // implies the bytes we copied are one published record.
-            let raw = unsafe { *slot.data.get() };
+            let copy = unsafe { *slot.data.get() };
             let s2 = slot.seq.load(Ordering::Acquire);
             if s1 != s2 {
                 continue;
             }
+            // SAFETY: a published (even, nonzero) sequence, unchanged
+            // around the copy, means the copied datum was written whole.
+            let raw = unsafe { copy.assume_init() };
             records.push(TraceRecord {
                 kind: raw.kind,
                 name: raw.name,
@@ -153,7 +157,7 @@ impl FlightRecorder {
         // Test/reporting helper, not safe against concurrent writers in
         // the sense of completeness (a racing record may survive or
         // vanish) — but never unsound: slots keep their seq protocol.
-        for slot in self.slots.iter() {
+        for slot in self.written_slots() {
             slot.seq.store(0, Ordering::Release);
         }
         self.head.store(0, Ordering::Release);
@@ -423,6 +427,27 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_and_reset_see_only_the_slots_written() {
+        let ring = FlightRecorder::with_capacity(16);
+        // A full lap and a partial one, then a reset: the first lap's
+        // records must not come back after the next partial lap.
+        for i in 0..21 {
+            ring.write(raw(i + 1, i * 100));
+        }
+        assert_eq!(ring.snapshot().records.len(), 16);
+        ring.reset();
+        for i in 0..3 {
+            ring.write(raw(100 + i, i * 100));
+        }
+        let snap = ring.snapshot();
+        let ids: Vec<u64> = snap.records.iter().map(|r| r.id).collect();
+        assert_eq!(ids, [100, 101, 102]);
+        assert_eq!(snap.dropped, 0);
+        ring.reset();
+        assert!(ring.snapshot().records.is_empty());
+    }
+
+    #[test]
     fn a_contended_drop_is_counted_once() {
         let ring = FlightRecorder::with_capacity(16);
         let capacity = ring.slots.len() as u64;
@@ -438,7 +463,7 @@ mod tests {
             ring.write(raw(i + 1, i * 100));
         }
         // SAFETY: this thread holds slot 0's odd claim ticket.
-        unsafe { *slot.data.get() = raw(1, 0) };
+        unsafe { (*slot.data.get()).write(raw(1, 0)) };
         slot.seq.store(publish, Ordering::Release);
 
         let written = capacity + 1;
