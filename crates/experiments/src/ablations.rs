@@ -23,8 +23,7 @@ use crate::harness::{run_method_with, scenario_planner, SweepOptions};
 use crate::savings::savings_summary;
 use crate::testbed::Testbed;
 use coolopt_alloc::{Method, Strategy};
-use coolopt_profiling::{profile_room_full, ProfileOptions};
-use coolopt_room::presets::{parametric_rack_with, RackOptions};
+use coolopt_room::presets::RackOptions;
 use coolopt_units::TempDelta;
 use serde::{Deserialize, Serialize};
 
@@ -136,23 +135,15 @@ pub fn recirculation_study(
     scales
         .iter()
         .map(|&scale| {
-            let rack_options = RackOptions {
+            let mut testbed = Testbed::from_options(RackOptions {
                 machines,
                 seed,
                 recirculation_scale: scale,
                 ..RackOptions::default()
-            };
-            let scenario = coolopt_scenario::presets::single_zone(rack_options);
-            let mut room = parametric_rack_with(rack_options);
-            let profile = profile_room_full(&mut room, &ProfileOptions::default())
-                .expect("scaled preset profiles cleanly");
-            let mean_thermal_r2 =
-                profile.thermal.r2.iter().sum::<f64>() / profile.thermal.r2.len() as f64;
-            let mut testbed = Testbed {
-                room,
-                profile,
-                scenario,
-            };
+            })
+            .expect("scaled preset profiles cleanly");
+            let r2 = &testbed.profile.thermal.r2;
+            let mean_thermal_r2 = r2.iter().sum::<f64>() / r2.len() as f64;
             let planner = scenario_planner(&testbed, options);
             let mut sweep = crate::harness::Sweep::default();
             let methods = [Method::numbered(7), Method::numbered(8)];

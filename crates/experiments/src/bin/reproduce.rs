@@ -94,7 +94,6 @@ fn main() {
         let mz_options = MultiZoneOptions {
             window: Seconds::new(if smoke { 120.0 } else { 300.0 }),
             tsdb_prefix: Some("multizone"),
-            ..MultiZoneOptions::default()
         };
         let outcome = run_multizone(scenario, &mz_options).expect("multi-zone experiment runs");
         if show {
@@ -318,7 +317,7 @@ fn main() {
 
     // --- model-health watchdog: stock verdict + drifted demo ----------------
     // The stock trace above should report healthy residuals; a second, short
-    // trace with an injected 3 K model bias demonstrates that the drift
+    // trace with an injected 8 K model bias demonstrates that the drift
     // detector actually trips when the fitted model goes stale.
     let health = trace_outcome.health.clone().map(|report| {
         let bias_kelvin = 8.0;
@@ -332,7 +331,6 @@ fn main() {
         let drift_options = RuntimeOptions {
             health: HealthConfig {
                 inject_bias_kelvin: bias_kelvin,
-                ..HealthConfig::default()
             },
             ..RuntimeOptions::default()
         };

@@ -18,25 +18,26 @@ pub struct SweepOptions {
     pub settle_max: Seconds,
     /// Measurement window per run.
     pub window: Seconds,
-    /// Tolerance above `T_max` before a run is flagged (sensor noise and
-    /// quantization make exact comparisons meaningless).
-    pub temp_margin: TempDelta,
     /// Guard band the planner keeps below `T_max` (absorbs fitted-model
     /// error; the ablation study sweeps it).
     pub guard: TempDelta,
 }
 
 impl Default for SweepOptions {
+    /// The paper's 10–100 % loads, measured with the profiling protocol.
     fn default() -> Self {
         SweepOptions {
             load_percents: (1..=10).map(|k| k as f64 * 10.0).collect(),
-            settle_max: Seconds::new(4000.0),
-            window: Seconds::new(60.0),
-            temp_margin: TempDelta::from_kelvin(2.0),
+            settle_max: coolopt_profiling::SETTLE_MAX,
+            window: coolopt_profiling::WINDOW,
             guard: coolopt_alloc::plan::DEFAULT_GUARD,
         }
     }
 }
+
+/// Tolerance above `T_max` before a run is flagged (sensor noise and
+/// quantization make exact comparisons meaningless).
+const TEMP_MARGIN: TempDelta = TempDelta::from_kelvin(2.0);
 
 /// The outcome of running one method at one load.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -47,7 +48,7 @@ pub struct MethodRun {
     pub load_percent: f64,
     /// Steady-state measurement through the instruments.
     pub measurement: SteadyMeasurement,
-    /// `true` when no CPU exceeded `T_max` (within the margin).
+    /// `true` when no CPU exceeded `T_max` by more than a 2 K margin.
     pub temps_ok: bool,
     /// `true` when the dispatcher realizes the planned shares (throughput
     /// constraint, paper: "application throughput was not affected").
@@ -106,7 +107,7 @@ pub fn run_method_with(
     room.set_set_point(plan.set_point);
     let measurement = SteadyMeasurement::collect(room, options.settle_max, options.window);
 
-    let t_limit = testbed.profile.model.t_max() + options.temp_margin;
+    let t_limit = testbed.profile.model.t_max() + TEMP_MARGIN;
     let temps_ok = measurement.max_cpu_temp <= t_limit;
     let throughput_ok = verify_throughput(&plan);
 

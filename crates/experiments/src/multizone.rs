@@ -11,9 +11,11 @@
 //! the margin monitor. A scenario whose declared `α/β/γ` disagree with its
 //! own physics trips the watchdog here, before anyone trusts its plans.
 
+use crate::runtime::RECORD_STEPS;
 use coolopt_core::{solve_zones, solve_zones_uniform, SolveError, ZoneSolution, ZoneSystem};
 use coolopt_room::materialize;
 use coolopt_room::room::InvalidRoom;
+use coolopt_room::DT;
 use coolopt_scenario::{zone_system, Scenario, ScenarioError};
 use coolopt_sim::{HealthConfig, HealthReport, ModelHealthMonitor};
 use coolopt_telemetry as telemetry;
@@ -67,33 +69,30 @@ impl From<InvalidRoom> for MultiZoneError {
     }
 }
 
+/// Total load [`run_multizone`] drives, as a fraction of the machine count.
+const LOAD_FRACTION: f64 = 0.5;
+
+/// Settle budget per variant.
+const MAX_SETTLE: Seconds = Seconds::new(6_000.0);
+
 /// Knobs of [`run_multizone`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiZoneOptions {
-    /// Total load as a fraction of the machine count.
-    pub load_fraction: f64,
-    /// Settle budget per variant.
-    pub max_settle: Seconds,
     /// Post-settle measurement window (1 Hz sampling).
     pub window: Seconds,
-    /// Watchdog tuning for the per-zone validation run.
-    pub health: HealthConfig,
     /// When set, both variants stream per-zone plant series into the
     /// process-global [time-series store](coolopt_telemetry::tsdb):
     /// `{prefix}.{variant}.zone{z}.computing_watts` plus room-level
-    /// `cooling_watts` and `margin_kelvin`, on the simulation clock. The
-    /// run owns every `{prefix}.*` series: it drops what an earlier run
-    /// left there before its first sample.
+    /// `cooling_watts` and `margin_kelvin`, every 10 s of simulation time.
+    /// The run owns every `{prefix}.*` series: it drops what an earlier
+    /// run left there before its first sample.
     pub tsdb_prefix: Option<&'static str>,
 }
 
 impl Default for MultiZoneOptions {
     fn default() -> Self {
         MultiZoneOptions {
-            load_fraction: 0.5,
-            max_settle: Seconds::new(6_000.0),
             window: Seconds::new(300.0),
-            health: HealthConfig::default(),
             tsdb_prefix: None,
         }
     }
@@ -168,7 +167,7 @@ pub fn run_multizone(
     }
     let system = zone_system(scenario)?;
     let machines = system.total_machines();
-    let total_load = options.load_fraction * machines as f64;
+    let total_load = LOAD_FRACTION * machines as f64;
     let per_plan = solve_zones(&system, total_load)?;
     let uni_plan = solve_zones_uniform(&system, total_load)?;
     telemetry::info!(
@@ -210,7 +209,7 @@ fn run_variant(
     room.set_loads(&flat_loads)
         .expect("planned loads are valid fractions");
     room.set_fixed_supplies(&plan.t_ac);
-    let settled = room.settle(options.max_settle, 5.0);
+    let settled = room.settle(MAX_SETTLE, 5.0);
 
     // Declared per-machine predictions at the commanded supply vector; the
     // residuals against the simulated plant feed the drift detector.
@@ -227,9 +226,10 @@ fn run_variant(
     }
 
     let t_max = scenario.policy.t_max.as_kelvin();
-    let mut monitor = ModelHealthMonitor::new(n, options.health);
-    let dt = room.config().dt.as_secs_f64();
-    let steps = (options.window.as_secs_f64() / dt).ceil().max(1.0) as usize;
+    let mut monitor = ModelHealthMonitor::new(n, HealthConfig::default());
+    let steps = (options.window.as_secs_f64() / DT.as_secs_f64())
+        .ceil()
+        .max(1.0) as usize;
     let mut computing = 0.0;
     let mut cooling = 0.0;
     let mut max_cpu = f64::NEG_INFINITY;
@@ -256,9 +256,9 @@ fn run_variant(
             .fold(f64::NEG_INFINITY, f64::max);
         max_cpu = max_cpu.max(hottest);
         min_margin = min_margin.min(t_max - hottest);
-        // Stream per-zone power and the safety margin at a 10 s cadence
-        // (every 10th 1 Hz step), on the simulation clock.
-        if k % 10 == 0 {
+        // Stream per-zone power and the safety margin at the recording
+        // cadence, on the simulation clock.
+        if k % RECORD_STEPS == 0 {
             if let Some((zone_names, cooling_name, margin_name)) = &tsdb_names {
                 let db = telemetry::tsdb();
                 let sim_ms = (room.now().as_secs_f64() * 1000.0) as i64;
@@ -275,8 +275,8 @@ fn run_variant(
         }
         if watch {
             monitor.observe_margin(room.now(), t_max - hottest);
-            // Residuals at a 10 s cadence, mirroring the runtime watchdog.
-            if k % 10 == 0 {
+            // Residuals at the runtime watchdog's cadence.
+            if k % RECORD_STEPS == 0 {
                 for (i, s) in room.servers().iter().enumerate() {
                     monitor.observe_residual(i, predicted[i] - s.cpu_temp().as_kelvin());
                 }
@@ -349,7 +349,6 @@ mod tests {
     fn two_zone_preset_beats_uniform_on_the_simulated_plant() {
         let scenario = coolopt_scenario::presets::two_zone_hetero(7);
         let options = MultiZoneOptions {
-            max_settle: Seconds::new(6_000.0),
             window: Seconds::new(120.0),
             ..MultiZoneOptions::default()
         };

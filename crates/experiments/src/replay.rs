@@ -19,7 +19,7 @@
 //! through a generic small-step integrator — the reference the exact-step
 //! engine is tested against.
 
-use crate::runtime::TracePoint;
+use crate::runtime::{TracePoint, RECORD_EVERY, REPLAN_INTERVAL};
 use coolopt_alloc::{AllocationPlan, Method, Planner, PolicyError};
 use coolopt_model::{RcNetwork, RcParams, RoomModel};
 use coolopt_sim::{Integrator, LinearDynamics, LinearOde, PropagatorCache, Rk4, SimScratch};
@@ -28,39 +28,24 @@ use coolopt_units::{Joules, Seconds, Temperature, Watts};
 use serde::{Deserialize, Serialize};
 
 /// How the replay advances the RC state across a recording step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub enum ReplayEngine {
     /// Exact-step propagator: one matrix–vector product per recording step,
     /// memoized per `(step, input)` pair. The fast path.
+    #[default]
     Exact,
     /// Classic RK4 fallback at the given sub-step (accuracy oracle).
     Rk4(Seconds),
 }
 
-/// Knobs of an analytic replay.
-#[derive(Debug, Clone, PartialEq)]
+/// Knobs of an analytic replay. The replay keeps the runtime's cadence:
+/// it replans at least every 900 s and steps, checks temperatures and
+/// integrates energy every 10 s, on the RC network of
+/// [`RcParams::default`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReplayOptions {
-    /// Replan at least this often, even if demand has not changed.
-    pub replan_interval: Seconds,
-    /// Sampling resolution: temperatures are checked and energy integrated
-    /// at this granularity, and control events take effect on its
-    /// boundaries.
-    pub record_every: Seconds,
-    /// Transient constants of the RC network.
-    pub params: RcParams,
     /// The stepping engine.
     pub engine: ReplayEngine,
-}
-
-impl Default for ReplayOptions {
-    fn default() -> Self {
-        ReplayOptions {
-            replan_interval: Seconds::new(900.0),
-            record_every: Seconds::new(10.0),
-            params: RcParams::default(),
-            engine: ReplayEngine::Exact,
-        }
-    }
 }
 
 /// What an analytic replay produced.
@@ -112,9 +97,9 @@ fn plan_powers(model: &RoomModel, plan: &AllocationPlan, powers: &mut Vec<f64>) 
 ///
 /// # Panics
 ///
-/// Panics if `trace` is empty or not time-sorted, `total` or
-/// `options.record_every` is not positive, or the fitted model is not
-/// RC-representable (some `β_i ≤ 1/g`; see [`RcNetwork::new`]).
+/// Panics if `trace` is empty or not time-sorted, `total` is not
+/// positive, or the fitted model is not RC-representable (some
+/// `β_i ≤ 1/g`; see [`RcNetwork::new`]).
 pub fn replay_trace_with(
     planner: &Planner,
     model: &RoomModel,
@@ -133,13 +118,10 @@ pub fn replay_trace_with(
         total_s.is_finite() && total_s > 0.0,
         "total must be positive, got {total_s} s"
     );
-    let h = options.record_every.as_secs_f64();
-    assert!(
-        h.is_finite() && h > 0.0,
-        "record_every must be positive, got {h} s"
-    );
+    let h = RECORD_EVERY.as_secs_f64();
+    let params = RcParams::default();
 
-    let mut net = RcNetwork::new(model, options.params)
+    let mut net = RcNetwork::new(model, params)
         .expect("fitted model must be RC-representable for analytic replay");
     let dim = LinearDynamics::dim(&net);
     let t_max = model.t_max();
@@ -152,7 +134,7 @@ pub fn replay_trace_with(
     net.set_input(&powers, current.t_ac_target);
     replans += 1;
 
-    let mut state = net.uniform_state(options.params.t_room_ref);
+    let mut state = net.uniform_state(params.t_room_ref);
     let mut step_scratch = vec![0.0; dim];
     let mut sim_scratch = SimScratch::with_dim(dim);
     let mut cache = PropagatorCache::new();
@@ -165,7 +147,7 @@ pub fn replay_trace_with(
     let mut violation_seconds = 0.0;
     let mut max_cpu = f64::NEG_INFINITY;
     let mut trace_idx = 0usize;
-    let mut next_replan = options.replan_interval.as_secs_f64();
+    let mut next_replan = REPLAN_INTERVAL.as_secs_f64();
 
     for k in 0..steps {
         let now = k as f64 * h;
@@ -188,7 +170,7 @@ pub fn replay_trace_with(
                 }
                 Err(_) => plan_failures += 1,
             }
-            next_replan = now + options.replan_interval.as_secs_f64();
+            next_replan = now + REPLAN_INTERVAL.as_secs_f64();
         }
 
         let computing: f64 = powers.iter().sum();
@@ -307,7 +289,6 @@ mod tests {
             total,
             &ReplayOptions {
                 engine: ReplayEngine::Rk4(Seconds::new(0.05)),
-                ..ReplayOptions::default()
             },
         )
         .unwrap();
@@ -360,36 +341,45 @@ mod tests {
     fn replay_approximates_the_numeric_substrate() {
         // The analytic replay should land in the same energy ballpark as
         // the full simulation (it ignores boot transients and noise, so
-        // only a coarse agreement is expected).
+        // only a coarse agreement is expected). Both engines read one
+        // cadence and plan with one planner, so on plateaus that start on
+        // recording-step boundaries they replan at the same instants.
         let (mut tb, planner) = setup(4, 47);
-        let trace = [TracePoint {
+        let flat = vec![TracePoint {
             at: Seconds::ZERO,
             load: 2.0,
         }];
-        let total = Seconds::new(3000.0);
-        let analytic = replay_trace_with(
-            &planner,
-            &tb.profile.model,
-            Method::numbered(8),
-            &trace,
-            total,
-            &ReplayOptions::default(),
-        )
-        .unwrap();
-        let numeric = crate::runtime::run_load_trace_with(
-            &planner,
-            &mut tb,
-            Method::numbered(8),
-            &trace,
-            total,
-            &crate::runtime::RuntimeOptions::default(),
-        )
-        .unwrap();
-        let a = analytic.mean_power.as_watts();
-        let n = numeric.mean_power.as_watts();
-        assert!(
-            (a - n).abs() / n < 0.25,
-            "analytic {a:.0} W vs numeric {n:.0} W"
-        );
+        let hour = Seconds::new(3600.0);
+        for (trace, total) in [
+            (flat, Seconds::new(3000.0)),
+            (sinusoidal_trace(4, 0.25, 0.75, hour, 4), hour),
+        ] {
+            let analytic = replay_trace_with(
+                &planner,
+                &tb.profile.model,
+                Method::numbered(8),
+                &trace,
+                total,
+                &ReplayOptions::default(),
+            )
+            .unwrap();
+            let numeric = crate::runtime::run_load_trace_with(
+                &planner,
+                &mut tb,
+                Method::numbered(8),
+                &trace,
+                total,
+                &crate::runtime::RuntimeOptions::default(),
+            )
+            .unwrap();
+            assert_eq!(analytic.replans, numeric.replans, "{trace:?}");
+            assert_eq!(analytic.plan_failures, numeric.plan_failures, "{trace:?}");
+            let a = analytic.mean_power.as_watts();
+            let n = numeric.mean_power.as_watts();
+            assert!(
+                (a - n).abs() / n < 0.25,
+                "analytic {a:.0} W vs numeric {n:.0} W on {trace:?}"
+            );
+        }
     }
 }

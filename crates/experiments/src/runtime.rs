@@ -12,6 +12,8 @@
 
 use crate::testbed::Testbed;
 use coolopt_alloc::{AllocationPlan, Method, Planner, PolicyError};
+use coolopt_room::DT;
+use coolopt_sim::health::SETTLE;
 use coolopt_sim::{HealthConfig, HealthReport, ModelHealthMonitor};
 use coolopt_telemetry as telemetry;
 use coolopt_units::{Joules, Seconds, Watts};
@@ -74,39 +76,36 @@ pub fn sinusoidal_trace(
         .collect()
 }
 
+/// The controller replans at least this often, even if demand has not
+/// changed (tracks drift). [`crate::replay`] replans on the same timer.
+pub(crate) const REPLAN_INTERVAL: Seconds = Seconds::new(900.0);
+
+/// Sampling cadence of the watchdog's residuals and of the time-series
+/// store's plant series; [`crate::replay`] steps at it and
+/// [`crate::multizone`] samples at it too.
+pub(crate) const RECORD_EVERY: Seconds = Seconds::new(10.0);
+
+/// Plant steps of [`coolopt_room::DT`] per [`RECORD_EVERY`].
+pub(crate) const RECORD_STEPS: usize = (RECORD_EVERY.as_secs_f64() / DT.as_secs_f64()) as usize;
+
+// The cast above truncates: the cadence must be a whole number of steps.
+const _: () = assert!(RECORD_STEPS as f64 * DT.as_secs_f64() == RECORD_EVERY.as_secs_f64());
+
 /// Controller knobs.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RuntimeOptions {
-    /// Replan at least this often, even if demand has not changed (tracks
-    /// drift).
-    pub replan_interval: Seconds,
-    /// Sampling cadence of the watchdog's residuals and of the
-    /// time-series store's plant series.
-    pub record_every: Seconds,
-    /// Model-health watchdog tuning (residual drift detection and
-    /// `T_max`-margin monitoring). Residual samples are taken at the
-    /// [`record_every`](RuntimeOptions::record_every) cadence once the
-    /// plant has settled after a plan application.
+    /// Model-health watchdog fault injection. Residual samples are taken
+    /// every 10 s of simulated time once the plant has settled after a
+    /// plan application.
     pub health: HealthConfig,
     /// When set, the run also streams plant series into the process-global
-    /// [time-series store](coolopt_telemetry::tsdb) at the
-    /// [`record_every`](RuntimeOptions::record_every) cadence:
+    /// [time-series store](coolopt_telemetry::tsdb) every 10 s of
+    /// simulated time:
     /// `{prefix}.computing_watts`, `{prefix}.cooling_watts` and
     /// `{prefix}.margin_kelvin`, stamped with *simulation* milliseconds
     /// (not wall time). The run owns every `{prefix}.*` series: it drops
     /// what an earlier run left there before its first sample.
     pub tsdb_prefix: Option<String>,
-}
-
-impl Default for RuntimeOptions {
-    fn default() -> Self {
-        RuntimeOptions {
-            replan_interval: Seconds::new(900.0),
-            record_every: Seconds::new(10.0),
-            health: HealthConfig::default(),
-            tsdb_prefix: None,
-        }
-    }
 }
 
 /// Energy split of one demand plateau of the trace.
@@ -238,7 +237,6 @@ pub fn run_load_trace_with(
         p
     };
     let mut health = ModelHealthMonitor::new(machines, options.health);
-    let settle = health.settle();
     // The run owns its prefix's series: samples restart at t = 0, and
     // series must ascend.
     if let Some(prefix) = &options.tsdb_prefix {
@@ -263,13 +261,12 @@ pub fn run_load_trace_with(
     let mut last_apply = Seconds::ZERO;
     replans += 1;
 
-    let dt = testbed.room.config().dt;
-    let steps = (total.as_secs_f64() / dt.as_secs_f64()).ceil() as usize;
+    let steps = (total.as_secs_f64() / DT.as_secs_f64()).ceil() as usize;
     // The room's clock keeps running across experiments (profiling already
     // advanced it); the trace runs on time-since-start.
     let t0 = testbed.room.now();
     let mut trace_idx = 0usize;
-    let mut next_replan = options.replan_interval;
+    let mut next_replan = REPLAN_INTERVAL;
     let mut energy = Joules::ZERO;
     let mut computing_energy = Joules::ZERO;
     let mut cooling_energy = Joules::ZERO;
@@ -278,11 +275,6 @@ pub fn run_load_trace_with(
     let mut requested = 0.0;
     let mut violation_seconds = 0.0;
     let mut min_margin_kelvin = f64::INFINITY;
-    // Sampled work (watchdog residuals, tsdb series) runs every `every`
-    // steps, i.e. once per `record_every` of simulated time.
-    let every = (options.record_every.as_secs_f64() / dt.as_secs_f64())
-        .round()
-        .max(1.0) as usize;
     // One span covers each run of uninterrupted sim steps between replans,
     // so the trace shows plan → replan → step causality without emitting a
     // record per step (which would flush everything else out of the ring).
@@ -327,9 +319,8 @@ pub fn run_load_trace_with(
                     replan_span.set_attr("ok", false);
                 }
             }
-            next_replan = now + options.replan_interval;
+            next_replan = now + REPLAN_INTERVAL;
         }
-        let _ = &current; // current is retained for inspection/debugging
 
         if window.is_none() {
             window = Some(telemetry::span("sim_steps").attr("at_seconds", now.as_secs_f64()));
@@ -340,19 +331,19 @@ pub fn run_load_trace_with(
         let pc = testbed.room.computing_power();
         let pk = testbed.room.cooling_power();
         let p = pc + pk; // `total_power`, without evaluating both again
-        energy += p * dt;
-        computing_energy += pc * dt;
-        cooling_energy += pk * dt;
-        seg_split[trace_idx].0 += pc * dt;
-        seg_split[trace_idx].1 += pk * dt;
+        energy += p * DT;
+        computing_energy += pc * DT;
+        cooling_energy += pk * DT;
+        seg_split[trace_idx].0 += pc * DT;
+        seg_split[trace_idx].1 += pk * DT;
         served += testbed
             .room
             .servers()
             .iter()
             .map(|s| s.effective_load())
             .sum::<f64>()
-            * dt.as_secs_f64();
-        requested += demand * dt.as_secs_f64();
+            * DT.as_secs_f64();
+        requested += demand * DT.as_secs_f64();
         let hottest = testbed
             .room
             .servers()
@@ -360,7 +351,7 @@ pub fn run_load_trace_with(
             .map(|s| s.cpu_temp().as_kelvin())
             .fold(f64::NEG_INFINITY, f64::max);
         if hottest > t_max.as_kelvin() {
-            violation_seconds += dt.as_secs_f64();
+            violation_seconds += DT.as_secs_f64();
         }
         min_margin_kelvin = min_margin_kelvin.min(t_max.as_kelvin() - hottest);
         // The watchdog skips the settle window after each plan
@@ -368,12 +359,12 @@ pub fn run_load_trace_with(
         // inherited startup state / replan transients (min_margin_kelvin
         // above still records those), and Eq. 8 predicts steady state, so
         // unsettled residuals would false-trip the drift detector.
-        let settled = (now - last_apply).as_secs_f64() >= settle.as_secs_f64();
+        let settled = (now - last_apply).as_secs_f64() >= SETTLE.as_secs_f64();
         if settled {
             health.observe_margin(now, t_max.as_kelvin() - hottest);
         }
         // Residual samples additionally follow the sampling cadence.
-        if settled && k % every == 0 {
+        if settled && k % RECORD_STEPS == 0 {
             for (i, s) in testbed.room.servers().iter().enumerate() {
                 let pred = predicted[i];
                 if s.is_on() && pred.is_finite() {
@@ -383,7 +374,7 @@ pub fn run_load_trace_with(
         }
         // The time-series store gets the energy split and the safety
         // margin at the same cadence, on the simulation clock.
-        if k % every == 0 {
+        if k % RECORD_STEPS == 0 {
             if let Some([computing, cooling, margin]) = &tsdb_names {
                 let db = telemetry::tsdb();
                 let sim_ms = (now.as_secs_f64() * 1000.0) as i64;
@@ -402,7 +393,7 @@ pub fn run_load_trace_with(
     telemetry::gauge("coolopt_trace_computing_joules").add(computing_energy.as_joules());
     telemetry::gauge("coolopt_trace_cooling_joules").add(cooling_energy.as_joules());
 
-    let duration = Seconds::new(steps as f64 * dt.as_secs_f64());
+    let duration = Seconds::new(steps as f64 * DT.as_secs_f64());
     Ok(TraceOutcome {
         energy,
         computing_energy,

@@ -1,6 +1,6 @@
 //! The evaluation testbed: simulated rack + fitted models.
 
-use coolopt_profiling::{profile_room_full, ProfileError, ProfileOptions, RoomProfile};
+use coolopt_profiling::{profile_room, ProfileError, RoomProfile};
 use coolopt_room::room::InvalidRoom;
 use coolopt_room::{materialize, presets, MachineRoom};
 use coolopt_scenario::{RackOptions, Scenario};
@@ -100,7 +100,7 @@ impl Testbed {
     pub fn from_options(options: RackOptions) -> Result<Testbed, ProfileError> {
         let scenario = coolopt_scenario::presets::single_zone(options);
         let mut room = presets::parametric_rack_with(options);
-        let profile = profile_room_full(&mut room, &ProfileOptions::default())?;
+        let profile = profile_room(&mut room, scenario.policy.t_max)?;
         Ok(Testbed {
             room,
             profile,
@@ -109,9 +109,10 @@ impl Testbed {
     }
 
     /// Builds and profiles a testbed from a **single-zone** scenario
-    /// document (the `--scenario` path of the experiment binaries). For
-    /// documents emitted by the presets this is bit-identical to
-    /// [`Testbed::build_sized`] — the identity is pinned by tests.
+    /// document (the `--scenario` path of the experiment binaries). The
+    /// fitted model carries the document's `T_max`. For documents emitted
+    /// by the presets this is bit-identical to [`Testbed::build_sized`] —
+    /// the identity is pinned by tests.
     ///
     /// # Errors
     ///
@@ -124,7 +125,7 @@ impl Testbed {
             });
         }
         let mut room = materialize(scenario)?;
-        let profile = profile_room_full(&mut room, &ProfileOptions::default())?;
+        let profile = profile_room(&mut room, scenario.policy.t_max)?;
         Ok(Testbed {
             room,
             profile,
@@ -182,6 +183,19 @@ mod tests {
                 b.profile.model.thermal(i).alpha()
             );
         }
+    }
+
+    #[test]
+    fn a_documents_t_max_reaches_the_fitted_model() {
+        let mut scenario = coolopt_scenario::presets::single_zone(RackOptions {
+            machines: 4,
+            seed: 11,
+            ..RackOptions::default()
+        });
+        let t_max = coolopt_units::Temperature::from_celsius(70.0);
+        scenario.policy.t_max = t_max;
+        let tb = Testbed::from_scenario(&scenario).unwrap();
+        assert_eq!(tb.profile.model.t_max(), t_max);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! `results/reproduction_seed42.txt` and `results/ablation_seed42.txt`
 //! and write exactly the committed `results/csv/*.csv`; `reproduce` on the
 //! shipped two-zone document must print exactly
-//! `results/two_zone_hetero.txt`.
+//! `results/two_zone_hetero.txt`; and `reproduce` on the shipped
+//! `scenarios/testbed_rack20.json` (seed 0) must print exactly what the
+//! code preset prints at seed 0.
 //!
 //! The figure text, savings lines and CSVs are deterministic (debug and
 //! release builds print the same bytes), so any difference is a change to
@@ -55,11 +57,9 @@ fn run(exe: &str, args: &[&str]) -> String {
     String::from_utf8(output.stdout).expect("stdout is UTF-8")
 }
 
-/// Asserts `actual` equals the committed file, naming the first
+/// Asserts `actual` equals `expected`, naming `what` and the first
 /// differing line.
-fn assert_pinned(committed: &Path, actual: &str) {
-    let expected = std::fs::read_to_string(committed)
-        .unwrap_or_else(|e| panic!("{} unreadable: {e}", committed.display()));
+fn assert_same(what: &str, expected: &str, actual: &str) {
     if expected == actual {
         return;
     }
@@ -69,12 +69,19 @@ fn assert_pinned(committed: &Path, actual: &str) {
         .position(|(e, a)| e != a)
         .unwrap_or_else(|| expected.lines().count().min(actual.lines().count()));
     panic!(
-        "{} drifted from the code at line {}:\n  committed: {:?}\n  produced:  {:?}",
-        committed.display(),
+        "{what} at line {}:\n  expected: {:?}\n  produced: {:?}",
         first + 1,
         expected.lines().nth(first),
         actual.lines().nth(first),
     );
+}
+
+/// Asserts `actual` equals the committed file.
+fn assert_pinned(committed: &Path, actual: &str) {
+    let expected = std::fs::read_to_string(committed)
+        .unwrap_or_else(|e| panic!("{} unreadable: {e}", committed.display()));
+    let what = format!("{} drifted from the code", committed.display());
+    assert_same(&what, &expected, actual);
 }
 
 #[test]
@@ -139,5 +146,33 @@ fn two_zone_hetero_matches_committed_table() {
         ],
     );
     assert_pinned(&results_dir().join("two_zone_hetero.txt"), &stdout);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn testbed_rack20_document_prints_what_the_preset_prints() {
+    let dir = scratch_dir("testbed-rack20");
+    let results = dir.to_str().unwrap();
+    let scenario = scenarios_dir().join("testbed_rack20.json");
+    let from_document = run(
+        env!("CARGO_BIN_EXE_reproduce"),
+        &[
+            "--scenario",
+            scenario.to_str().unwrap(),
+            "--quiet",
+            "--results",
+            results,
+        ],
+    );
+    let from_preset = run(
+        env!("CARGO_BIN_EXE_reproduce"),
+        &["0", "--quiet", "--results", results],
+    );
+    assert!(!from_preset.is_empty());
+    assert_same(
+        "the testbed_rack20 document drifted from the preset",
+        &from_preset,
+        &from_document,
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -135,7 +135,7 @@ mod tests {
                 set_point: Temperature::from_celsius(19.0),
             },
         ];
-        let records = run_grid(&mut room, &points, Seconds::new(4000.0), Seconds::new(60.0));
+        let records = run_grid(&mut room, &points, crate::SETTLE_MAX, crate::WINDOW);
         assert_eq!(records.len(), 2);
         for r in &records {
             assert!(r.settled, "grid point failed to settle");

@@ -12,14 +12,19 @@
 //! 4. fit the cooling model, measure the achievable supply ceiling, and
 //!    calibrate the `T_SP ↔ T_ac` mapping ([`crac_profile`]).
 //!
+//! The protocol is fixed: every grid point settles for up to
+//! [`SETTLE_MAX`] and is then sampled over [`WINDOW`]. The one policy
+//! value, the `T_max` the deployment enforces, comes from the caller.
+//!
 //! ```no_run
 //! use coolopt_room::presets::testbed_rack20;
 //! use coolopt_profiling::profile_room;
+//! use coolopt_units::Temperature;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut room = testbed_rack20(42);
-//! let model = profile_room(&mut room)?;
-//! assert_eq!(model.len(), 20);
+//! let profile = profile_room(&mut room, Temperature::from_celsius(60.0))?;
+//! assert_eq!(profile.model.len(), 20);
 //! # Ok(())
 //! # }
 //! ```
@@ -45,36 +50,21 @@ use coolopt_room::MachineRoom;
 use coolopt_units::{Seconds, Temperature};
 use std::fmt;
 
-/// Knobs of the profiling run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfileOptions {
-    /// The CPU temperature cap the deployment will enforce.
-    pub t_max: Temperature,
-    /// Set points visited by the grid.
-    pub set_points: Vec<Temperature>,
-    /// Load used when probing the supply ceiling.
-    pub ceiling_probe_load: f64,
-    /// Settling budget per operating point (simulated time).
-    pub settle_max: Seconds,
-    /// Measurement window per operating point (simulated time).
-    pub window: Seconds,
-}
+/// Set points the profiling grid visits.
+const GRID_SET_POINTS: [Temperature; 3] = [
+    Temperature::from_celsius(16.0),
+    Temperature::from_celsius(19.0),
+    Temperature::from_celsius(22.0),
+];
 
-impl Default for ProfileOptions {
-    fn default() -> Self {
-        ProfileOptions {
-            t_max: Temperature::from_celsius(60.0),
-            set_points: vec![
-                Temperature::from_celsius(16.0),
-                Temperature::from_celsius(19.0),
-                Temperature::from_celsius(22.0),
-            ],
-            ceiling_probe_load: 0.25,
-            settle_max: Seconds::new(4000.0),
-            window: Seconds::new(60.0),
-        }
-    }
-}
+/// Per-machine load while probing the supply ceiling.
+const CEILING_PROBE_LOAD: f64 = 0.25;
+
+/// Settling budget per operating point (simulated time).
+pub const SETTLE_MAX: Seconds = Seconds::new(4000.0);
+
+/// Measurement window per operating point (simulated time).
+pub const WINDOW: Seconds = Seconds::new(60.0);
 
 /// Everything a full profiling run produces.
 ///
@@ -130,37 +120,33 @@ impl fmt::Display for ProfileError {
 
 impl std::error::Error for ProfileError {}
 
-/// Runs the full §IV-A profiling pipeline with explicit options.
+/// Runs the full §IV-A profiling pipeline; `t_max` is the CPU temperature
+/// cap the deployment will enforce, which the fitted model carries.
 ///
 /// # Errors
 ///
 /// Returns [`ProfileError`] when the room has more than one CRAC, any fit
 /// fails, or the assembled model is rejected.
-pub fn profile_room_full(
+pub fn profile_room(
     room: &mut MachineRoom,
-    options: &ProfileOptions,
+    t_max: Temperature,
 ) -> Result<RoomProfile, ProfileError> {
     if room.zone_count() != 1 {
         return Err(ProfileError::MultiZone {
             cracs: room.zone_count(),
         });
     }
-    let points = default_grid(room.len(), &options.set_points);
-    let records = run_grid(room, &points, options.settle_max, options.window);
+    let points = default_grid(room.len(), &GRID_SET_POINTS);
+    let records = run_grid(room, &points, SETTLE_MAX, WINDOW);
 
     let power = fit_power_model(&records).map_err(ProfileError::Power)?;
     let thermal = fit_thermal_models(&records).map_err(ProfileError::Thermal)?;
-    let t_ac_max = measure_t_ac_max(room, options.ceiling_probe_load, options.settle_max);
+    let t_ac_max = measure_t_ac_max(room, CEILING_PROBE_LOAD, SETTLE_MAX);
     let cooling = fit_cooling_model(&records, t_ac_max).map_err(ProfileError::Cooling)?;
 
-    let model = RoomModel::new(
-        power.model,
-        thermal.models.clone(),
-        cooling.model,
-        options.t_max,
-    )
-    .map_err(|e| ProfileError::Model(e.to_string()))?
-    .with_t_ac_max(cooling.t_ac_max);
+    let model = RoomModel::new(power.model, thermal.models.clone(), cooling.model, t_max)
+        .map_err(|e| ProfileError::Model(e.to_string()))?
+        .with_t_ac_max(cooling.t_ac_max);
 
     Ok(RoomProfile {
         model,
@@ -171,25 +157,17 @@ pub fn profile_room_full(
     })
 }
 
-/// Runs the profiling pipeline with default options and returns just the
-/// model.
-///
-/// # Errors
-///
-/// See [`profile_room_full`].
-pub fn profile_room(room: &mut MachineRoom) -> Result<RoomModel, ProfileError> {
-    profile_room_full(room, &ProfileOptions::default()).map(|p| p.model)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use coolopt_room::presets;
 
+    const T_MAX: Temperature = Temperature::from_celsius(60.0);
+
     #[test]
     fn profiles_a_small_rack_accurately() {
         let mut room = presets::small_rack(4, 31);
-        let profile = profile_room_full(&mut room, &ProfileOptions::default()).unwrap();
+        let profile = profile_room(&mut room, T_MAX).unwrap();
 
         // Power model close to the substrate's generating curve
         // (w1 ≈ 45 − curvature bow, w2 ≈ 40).
@@ -232,12 +210,11 @@ mod tests {
             vec![0.9; 2],
             vec![vec![1.0, 0.0], vec![0.0, 1.0]],
             vec![vec![0.0; 2]; 2],
-            *rack.config(),
             0,
         )
         .unwrap();
         assert_eq!(
-            profile_room_full(&mut room, &ProfileOptions::default()),
+            profile_room(&mut room, T_MAX),
             Err(ProfileError::MultiZone { cracs: 2 })
         );
     }
@@ -245,7 +222,7 @@ mod tests {
     #[test]
     fn fitted_model_predicts_held_out_operating_point() {
         let mut room = presets::small_rack(4, 77);
-        let profile = profile_room_full(&mut room, &ProfileOptions::default()).unwrap();
+        let profile = profile_room(&mut room, T_MAX).unwrap();
 
         // Visit a point not in the training grid and compare predictions.
         let held_out = grid::OperatingPoint {
@@ -255,8 +232,8 @@ mod tests {
         let record = grid::run_grid(
             &mut room,
             std::slice::from_ref(&held_out),
-            Seconds::new(4000.0),
-            Seconds::new(60.0),
+            SETTLE_MAX,
+            WINDOW,
         )
         .remove(0);
 

@@ -29,7 +29,7 @@ impl Envelope {
     /// # Panics
     ///
     /// Panics if `u_env` or `aux_load` is negative.
-    pub fn new(u_env: Conductance, t_ambient: Temperature, aux_load: Watts) -> Self {
+    pub const fn new(u_env: Conductance, t_ambient: Temperature, aux_load: Watts) -> Self {
         assert!(
             u_env.as_watts_per_kelvin() >= 0.0,
             "envelope conductance must be non-negative"
@@ -43,16 +43,6 @@ impl Envelope {
             t_ambient,
             aux_load,
         }
-    }
-
-    /// An adiabatic room with no auxiliary load (useful in unit tests where
-    /// the only heat source should be the servers).
-    pub fn adiabatic() -> Self {
-        Envelope::new(
-            Conductance::ZERO,
-            Temperature::from_celsius(25.0),
-            Watts::ZERO,
-        )
     }
 
     /// Net heat flowing *into* the room air at room temperature `t_room`
@@ -79,12 +69,6 @@ mod tests {
         assert!(warm < cold);
         // 1 K of room warming saves u_env watts of load.
         assert!((cold.as_watts() - warm.as_watts() - 900.0 * 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn adiabatic_room_has_no_gain() {
-        let env = Envelope::adiabatic();
-        assert_eq!(env.heat_gain(Temperature::from_celsius(5.0)), Watts::ZERO);
     }
 
     #[test]

@@ -40,5 +40,5 @@ pub mod scenario;
 
 pub use envelope::Envelope;
 pub use measurement::{RoomObservation, SteadyMeasurement};
-pub use room::{MachineRoom, RoomConfig};
+pub use room::{MachineRoom, DT};
 pub use scenario::materialize;

@@ -5,7 +5,7 @@
 //! the room settle, then sample it through its (noisy) instruments for a
 //! while and average.
 
-use crate::room::MachineRoom;
+use crate::room::{MachineRoom, DT};
 use coolopt_units::{Seconds, Temperature, Watts};
 use serde::{Deserialize, Serialize};
 
@@ -90,8 +90,7 @@ impl SteadyMeasurement {
     pub fn collect(room: &mut MachineRoom, max_settle: Seconds, window: Seconds) -> Self {
         let settled = room.settle(max_settle, 5.0);
         let n = room.len();
-        let steps = room.config().dt;
-        let samples = (window.as_secs_f64() / steps.as_secs_f64()).ceil().max(1.0) as usize;
+        let samples = (window.as_secs_f64() / DT.as_secs_f64()).ceil().max(1.0) as usize;
 
         let mut server_powers = vec![0.0; n];
         let mut cpu_temps = vec![0.0; n];

@@ -7,11 +7,10 @@
 //! JSON file from `scenarios/` produces a bit-identical room — that identity
 //! is pinned by regression tests in [`crate::scenario`].
 
-use crate::room::{MachineRoom, RoomConfig};
+use crate::room::{MachineRoom, INITIAL_TEMP};
 use crate::scenario::materialize;
 use coolopt_cooling::{CracConfig, CracUnit};
 use coolopt_machine::{Server, ServerId};
-use coolopt_units::Temperature;
 
 pub use coolopt_scenario::RackOptions;
 
@@ -126,7 +125,7 @@ pub fn dual_zone_room(n_per_rack: usize, seed: u64) -> MachineRoom {
                 ServerId(combined),
                 *server.config(),
                 seed.wrapping_add(combined as u64),
-                Temperature::from_celsius(24.0),
+                INITIAL_TEMP,
             ));
             supply.push(room.supply_fraction(i));
             recirc.push(room.neighbor_recirculation(i));
@@ -142,7 +141,6 @@ pub fn dual_zone_room(n_per_rack: usize, seed: u64) -> MachineRoom {
         capture,
         vec![vec![1.0]],
         vec![vec![0.0]],
-        RoomConfig::default(),
         seed,
     )
     .expect("dual-zone room is consistent")
@@ -151,6 +149,7 @@ pub fn dual_zone_room(n_per_rack: usize, seed: u64) -> MachineRoom {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coolopt_units::Temperature;
 
     #[test]
     fn dual_zone_room_has_a_clear_near_far_split() {

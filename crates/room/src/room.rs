@@ -45,33 +45,21 @@ impl fmt::Display for InvalidRoom {
 
 impl std::error::Error for InvalidRoom {}
 
-/// Room-level configuration.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct RoomConfig {
-    /// Lumped heat capacity of the room air (J/K).
-    pub room_air_capacity: HeatCapacity,
-    /// Envelope and auxiliary loads.
-    pub envelope: Envelope,
-    /// Integration step.
-    pub dt: Seconds,
-    /// Initial temperature of every thermal node.
-    pub initial_temp: Temperature,
-}
+/// Integration step of [`MachineRoom::step`].
+pub const DT: Seconds = Seconds::new(1.0);
 
-impl Default for RoomConfig {
-    fn default() -> Self {
-        RoomConfig {
-            room_air_capacity: HeatCapacity::joules_per_kelvin(60_000.0),
-            envelope: Envelope::new(
-                coolopt_units::Conductance::watts_per_kelvin(120.0),
-                Temperature::from_celsius(25.0),
-                Watts::new(800.0),
-            ),
-            dt: Seconds::new(1.0),
-            initial_temp: Temperature::from_celsius(24.0),
-        }
-    }
-}
+/// Lumped heat capacity of the room air.
+const ROOM_AIR_CAPACITY: HeatCapacity = HeatCapacity::joules_per_kelvin(60_000.0);
+
+/// The room's envelope and auxiliary loads.
+const ENVELOPE: Envelope = Envelope::new(
+    Conductance::watts_per_kelvin(120.0),
+    Temperature::from_celsius(25.0),
+    Watts::new(800.0),
+);
+
+/// Temperature of every thermal node when a room is built.
+pub(crate) const INITIAL_TEMP: Temperature = Temperature::from_celsius(24.0);
 
 /// The simulated machine room: `n` servers in `Z` zones, one CRAC per
 /// zone, the air paths between them, and the envelope.
@@ -110,7 +98,6 @@ pub struct MachineRoom {
     /// neighbour and cross-zone recirculation leave. The fractions have
     /// no setters, so this is fixed when the room is built.
     room_air: Vec<f64>,
-    config: RoomConfig,
     t_room: Temperature,
     clock: SimClock,
     temp_sensors: Vec<CpuTempSensor>,
@@ -221,7 +208,6 @@ impl MachineRoom {
         capture: Vec<f64>,
         supply_share: Vec<Vec<f64>>,
         cross_zone: Vec<Vec<f64>>,
-        config: RoomConfig,
         sensor_seed: u64,
     ) -> Result<Self, InvalidRoom> {
         let fail = |what: String| Err(InvalidRoom::new(what));
@@ -314,9 +300,8 @@ impl MachineRoom {
                 ));
             }
         }
-        let t0 = config.initial_temp;
         for s in &mut servers {
-            s.sync_thermal_state(t0, t0);
+            s.sync_thermal_state(INITIAL_TEMP, INITIAL_TEMP);
         }
         let temp_sensors = (0..n)
             .map(|i| CpuTempSensor::with_default_noise(sensor_seed.wrapping_add(i as u64)))
@@ -349,9 +334,8 @@ impl MachineRoom {
             cross_zone,
             cross_recirculates,
             room_air,
-            config,
-            t_room: t0,
-            clock: SimClock::new(config.dt),
+            t_room: INITIAL_TEMP,
+            clock: SimClock::new(DT),
             temp_sensors,
             power_meters,
             ode_state: Vec::with_capacity(dim),
@@ -420,11 +404,6 @@ impl MachineRoom {
     /// Fraction of server `i`'s exhaust captured by the return duct.
     pub fn capture_fraction(&self, i: usize) -> f64 {
         self.capture[i]
-    }
-
-    /// The room configuration.
-    pub fn config(&self) -> &RoomConfig {
-        &self.config
     }
 
     /// Room-air temperature.
@@ -927,10 +906,10 @@ impl Dynamics for PlantStage<'_> {
         for (&unclaimed, &supply) in flow.unclaimed.iter().zip(supplies.iter()) {
             supply_spill += unclaimed * (supply - t_room);
         }
-        let envelope_gain = room.config.envelope.heat_gain(t_room);
+        let envelope_gain = ENVELOPE.heat_gain(t_room);
 
         let room_heat = spilled_heat + supply_spill + envelope_gain;
-        dx[2 * n] = (room_heat / room.config.room_air_capacity).as_kelvin_per_second();
+        dx[2 * n] = (room_heat / ROOM_AIR_CAPACITY).as_kelvin_per_second();
         for (u, crac) in room.cracs.iter().enumerate() {
             dx[2 * n + 1 + u] = crac.integral_rate(returns[u], integrals[u]);
         }
@@ -980,7 +959,6 @@ mod tests {
             capture,
             vec![vec![1.0]],
             vec![vec![0.0]],
-            RoomConfig::default(),
             0,
         )
     }
@@ -1003,7 +981,6 @@ mod tests {
             vec![0.5; n],
             share.map(Vec::from).to_vec(),
             cross.map(Vec::from).to_vec(),
-            RoomConfig::default(),
             0,
         )
     }
@@ -1138,9 +1115,9 @@ mod tests {
             );
             supply_spill += (excess * C_AIR) * (supplies[u] - t_room);
         }
-        let envelope_gain = room.config.envelope.heat_gain(t_room);
+        let envelope_gain = ENVELOPE.heat_gain(t_room);
         let room_heat = spilled_heat + supply_spill + envelope_gain;
-        dx[2 * n] = (room_heat / room.config.room_air_capacity).as_kelvin_per_second();
+        dx[2 * n] = (room_heat / ROOM_AIR_CAPACITY).as_kelvin_per_second();
         for (u, crac) in room.cracs.iter().enumerate() {
             dx[2 * n + 1 + u] = crac.integral_rate(returns[u], integrals[u]);
         }
@@ -1361,7 +1338,6 @@ mod tests {
                 vec![1.0, 1.0],
                 vec![vec![1.0]],
                 vec![vec![0.0]],
-                RoomConfig::default(),
                 0,
             )
         };
@@ -1438,7 +1414,6 @@ mod tests {
                 vec![0.5; 4],
                 ONE_CRAC_PER_ZONE.map(Vec::from).to_vec(),
                 NO_CROSS.map(Vec::from).to_vec(),
-                RoomConfig::default(),
                 0,
             )
         };
@@ -1488,7 +1463,7 @@ mod tests {
         let air = room.air_state();
         let crac = &room.cracs()[0];
         let coil = crac.cooling_load(air.returns[0], crac.integral());
-        let generated = room.computing_power() + room.config().envelope.heat_gain(room.room_temp());
+        let generated = room.computing_power() + ENVELOPE.heat_gain(room.room_temp());
         let rel = (coil.as_watts() - generated.as_watts()).abs() / generated.as_watts();
         assert!(
             rel < 0.05,
@@ -1601,7 +1576,6 @@ mod tests {
             vec![0.8; 2],
             vec![vec![1.0]],
             vec![vec![0.0]],
-            *room.config(),
             0,
         );
         assert!(result.is_err());
@@ -1614,7 +1588,6 @@ mod tests {
             vec![0.8; 3],
             vec![vec![1.0]],
             vec![vec![0.0]],
-            *room.config(),
             0,
         );
         assert!(result.is_err());

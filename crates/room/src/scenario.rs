@@ -9,11 +9,11 @@
 //! single-rack stream) in the schema's fixed field order, so the same
 //! document always materializes the same machines.
 
-use crate::room::{InvalidRoom, MachineRoom, RoomConfig};
+use crate::room::{InvalidRoom, MachineRoom, INITIAL_TEMP};
 use coolopt_cooling::CracUnit;
 use coolopt_machine::{Server, ServerConfig, ServerId};
 use coolopt_scenario::{MachineClass, Scenario, ZoneSpec};
-use coolopt_units::{Conductance, FlowRate, HeatCapacity, Temperature, Watts};
+use coolopt_units::{Conductance, FlowRate, HeatCapacity, Watts};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -58,7 +58,7 @@ fn build_zone_servers(
             ServerId(i),
             config,
             scenario.seed.wrapping_add(i as u64),
-            Temperature::from_celsius(24.0),
+            INITIAL_TEMP,
         ));
     }
     servers
@@ -109,7 +109,6 @@ pub fn materialize(scenario: &Scenario) -> Result<MachineRoom, InvalidRoom> {
         capture,
         supply_share,
         cross_zone,
-        RoomConfig::default(),
         scenario.seed,
     )
 }
@@ -120,7 +119,7 @@ mod tests {
     use crate::presets;
     use coolopt_scenario::presets as scenario_presets;
     use coolopt_scenario::RackOptions;
-    use coolopt_units::Seconds;
+    use coolopt_units::{Seconds, Temperature};
 
     /// The tentpole regression: materializing the shipped testbed scenario
     /// reproduces the historical code preset bit for bit — every server
@@ -167,7 +166,6 @@ mod tests {
             );
             assert_eq!(a.capture_fraction(i), b.capture_fraction(i));
         }
-        assert_eq!(a.config(), b.config());
         // Behavioural identity: identical trajectories, sensors included.
         let mut a = a.clone();
         let mut b = b.clone();

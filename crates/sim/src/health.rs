@@ -13,9 +13,8 @@
 //! * per-machine [Welford](https://en.wikipedia.org/wiki/Algorithms_for_calculating_variance#Welford's_online_algorithm)
 //!   mean/variance of the residual (numerically stable, single pass),
 //! * a per-machine EWMA drift detector `e ← (1−λ)·e + λ·r` with
-//!   hysteresis: the drift flag trips when `|e|` exceeds
-//!   [`HealthConfig::drift_high_kelvin`] and re-arms only below
-//!   [`HealthConfig::drift_low_kelvin`] (a latched `drifted` verdict
+//!   hysteresis: the drift flag trips when `|e|` exceeds 4.5 K and
+//!   re-arms only below 2.25 K (a latched `drifted` verdict
 //!   records whether it *ever* tripped),
 //! * a margin monitor that watches the hottest CPU's distance to the true
 //!   `T_max` and emits levelled events (info → warn → critical) *before*
@@ -31,70 +30,68 @@ use coolopt_telemetry as telemetry;
 use coolopt_units::Seconds;
 use serde::{Deserialize, Serialize};
 
-/// Watchdog tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// EWMA smoothing factor λ ∈ (0, 1] of the drift detector (larger reacts
+/// faster; 0.05 needs ≈ 14 samples of constant bias to trip a threshold at
+/// half the bias).
+const EWMA_LAMBDA: f64 = 0.05;
+
+/// Drift trips when the |EWMA residual| exceeds this (K). It sits above
+/// the fitted Eq. 8 model's worst settled EWMA excursion on the stock
+/// presets (≈3.8 K at the 20-machine preset's peak-load plateaus): drift
+/// means leaving the fit's in-family envelope, not the fit error itself —
+/// the static component of that error is what
+/// [`HealthReport::recommended_guard_kelvin`] covers.
+const DRIFT_HIGH_KELVIN: f64 = 4.5;
+
+/// A tripped drift flag re-arms only below this (K).
+const DRIFT_LOW_KELVIN: f64 = 2.25;
+
+/// Residual samples a machine must accumulate before its drift detector
+/// arms. The EWMA is seeded with the first sample, so a single noisy or
+/// still-transient reading would otherwise trip the detector immediately;
+/// the warm-up lets the EWMA average over the seed before verdicts count.
+const WARMUP_SAMPLES: u64 = 8;
+
+/// Callers skip residual and margin samples taken sooner than this after
+/// a plan application (the plant is in transient; Eq. 8 predicts steady
+/// state only).
+pub const SETTLE: Seconds = Seconds::new(300.0);
+
+/// EWMA smoothing factor of the margin signal the level decisions act on.
+/// Instantaneous CPU readings carry ~±0.4 K process noise, so levelling on
+/// the raw margin would alarm on single-sample spikes; the paper
+/// low-pass-filters its sensor streams the same way. The *raw* closest
+/// approach is still what the report records.
+const MARGIN_LAMBDA: f64 = 0.05;
+
+/// Margin (K) below which the monitor reports [`MarginLevel::Info`].
+const MARGIN_INFO_KELVIN: f64 = 3.0;
+
+/// Margin (K) below which the monitor reports [`MarginLevel::Warn`].
+const MARGIN_WARN_KELVIN: f64 = 1.5;
+
+/// Margin (K) below which the monitor reports [`MarginLevel::Critical`].
+const MARGIN_CRITICAL_KELVIN: f64 = 0.25;
+
+/// Hysteresis band (K) a margin must clear above a level's threshold
+/// before the level de-escalates.
+const MARGIN_HYSTERESIS_KELVIN: f64 = 0.25;
+
+const _: () = {
+    assert!(EWMA_LAMBDA > 0.0 && EWMA_LAMBDA <= 1.0);
+    assert!(DRIFT_LOW_KELVIN <= DRIFT_HIGH_KELVIN);
+    assert!(MARGIN_LAMBDA > 0.0 && MARGIN_LAMBDA <= 1.0);
+    assert!(MARGIN_CRITICAL_KELVIN < MARGIN_WARN_KELVIN);
+    assert!(MARGIN_WARN_KELVIN < MARGIN_INFO_KELVIN);
+};
+
+/// Fault injection for the watchdog.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HealthConfig {
-    /// EWMA smoothing factor λ ∈ (0, 1] for the drift detector (larger
-    /// reacts faster; 0.05 needs ≈ 14 samples of constant bias to trip a
-    /// threshold at half the bias).
-    pub ewma_lambda: f64,
-    /// Drift trips when the |EWMA residual| exceeds this (K). The
-    /// default sits above the fitted Eq. 8 model's worst settled EWMA
-    /// excursion on the stock presets (≈3.8 K at the 20-machine preset's
-    /// peak-load plateaus): drift means leaving the fit's in-family
-    /// envelope, not the fit error itself — the static component of that
-    /// error is what [`HealthReport::recommended_guard_kelvin`] covers.
-    pub drift_high_kelvin: f64,
-    /// A tripped drift flag re-arms only below this (K); must be ≤ the
-    /// high threshold.
-    pub drift_low_kelvin: f64,
-    /// Residual samples a machine must accumulate before its drift
-    /// detector arms. The EWMA is seeded with the first sample, so a
-    /// single noisy or still-transient reading would otherwise trip the
-    /// detector immediately; the warm-up lets the EWMA average over the
-    /// seed before verdicts count.
-    pub warmup_samples: u64,
-    /// Ignore residual samples within this long after a plan application
-    /// (the plant is in transient; Eq. 8 predicts steady state only).
-    pub settle: Seconds,
-    /// EWMA smoothing factor for the margin signal the level decisions
-    /// act on. Instantaneous CPU readings carry ~±0.4 K process noise, so
-    /// levelling on the raw margin would alarm on single-sample spikes;
-    /// the paper low-pass-filters its sensor streams the same way. `1.0`
-    /// disables smoothing (level on the raw sample). The *raw* closest
-    /// approach is still what the report records.
-    pub margin_lambda: f64,
-    /// Margin (K) below which the monitor reports `Info`.
-    pub margin_info_kelvin: f64,
-    /// Margin (K) below which the monitor reports `Warn`.
-    pub margin_warn_kelvin: f64,
-    /// Margin (K) below which the monitor reports `Critical`.
-    pub margin_critical_kelvin: f64,
-    /// Hysteresis band (K) a margin must clear above a threshold before
-    /// the level de-escalates.
-    pub margin_hysteresis_kelvin: f64,
     /// Artificial bias (K) added to every residual sample — fault
     /// injection for drift-detection tests and the drifted demo scenario.
     /// Zero in production.
     pub inject_bias_kelvin: f64,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            ewma_lambda: 0.05,
-            drift_high_kelvin: 4.5,
-            drift_low_kelvin: 2.25,
-            warmup_samples: 8,
-            settle: Seconds::new(300.0),
-            margin_lambda: 0.05,
-            margin_info_kelvin: 3.0,
-            margin_warn_kelvin: 1.5,
-            margin_critical_kelvin: 0.25,
-            margin_hysteresis_kelvin: 0.25,
-            inject_bias_kelvin: 0.0,
-        }
-    }
 }
 
 /// How close the hottest CPU came to `T_max`, as a severity level.
@@ -222,7 +219,7 @@ impl MachineState {
         ever_tripped: false,
     };
 
-    fn observe(&mut self, r: f64, cfg: &HealthConfig) {
+    fn observe(&mut self, r: f64) {
         self.count += 1;
         let delta = r - self.mean;
         self.mean += delta / self.count as f64;
@@ -230,23 +227,23 @@ impl MachineState {
         // During warm-up the "EWMA" is the running mean — a single
         // still-transient seed sample is averaged down instead of
         // dominating geometrically for ~1/λ samples afterwards.
-        self.ewma = if self.count <= cfg.warmup_samples.max(1) {
+        self.ewma = if self.count <= WARMUP_SAMPLES {
             self.mean
         } else {
-            (1.0 - cfg.ewma_lambda) * self.ewma + cfg.ewma_lambda * r
+            (1.0 - EWMA_LAMBDA) * self.ewma + EWMA_LAMBDA * r
         };
         self.max_abs = self.max_abs.max(r.abs());
         // The detector arms only after the warm-up: the seed sample
         // (and the averaging-down that follows) is not a verdict.
-        if self.count < cfg.warmup_samples {
+        if self.count < WARMUP_SAMPLES {
             return;
         }
         self.peak_abs_ewma = self.peak_abs_ewma.max(self.ewma.abs());
         if self.tripped {
-            if self.ewma.abs() < cfg.drift_low_kelvin {
+            if self.ewma.abs() < DRIFT_LOW_KELVIN {
                 self.tripped = false;
             }
-        } else if self.ewma.abs() > cfg.drift_high_kelvin {
+        } else if self.ewma.abs() > DRIFT_HIGH_KELVIN {
             self.tripped = true;
             self.ever_tripped = true;
         }
@@ -284,20 +281,6 @@ pub struct ModelHealthMonitor {
 impl ModelHealthMonitor {
     /// A watchdog for `machines` machines.
     pub fn new(machines: usize, cfg: HealthConfig) -> Self {
-        assert!(
-            cfg.ewma_lambda > 0.0 && cfg.ewma_lambda <= 1.0,
-            "ewma_lambda must be in (0, 1], got {}",
-            cfg.ewma_lambda
-        );
-        assert!(
-            cfg.drift_low_kelvin <= cfg.drift_high_kelvin,
-            "drift re-arm threshold must not exceed the trip threshold"
-        );
-        assert!(
-            cfg.margin_lambda > 0.0 && cfg.margin_lambda <= 1.0,
-            "margin_lambda must be in (0, 1], got {}",
-            cfg.margin_lambda
-        );
         ModelHealthMonitor {
             cfg,
             machines: vec![MachineState::NEW; machines],
@@ -311,12 +294,6 @@ impl ModelHealthMonitor {
         }
     }
 
-    /// The settle window residual samples must respect (callers skip
-    /// samples taken sooner than this after a plan application).
-    pub fn settle(&self) -> Seconds {
-        self.cfg.settle
-    }
-
     /// Records one settled residual `predicted − simulated` (K) for
     /// `machine`. The configured injection bias is added here, so
     /// fault-injection tests exercise the same code path as
@@ -327,7 +304,7 @@ impl ModelHealthMonitor {
         };
         let r = residual_kelvin + self.cfg.inject_bias_kelvin;
         let was_tripped = state.tripped;
-        state.observe(r, &self.cfg);
+        state.observe(r);
         self.samples += 1;
         if state.tripped && !was_tripped {
             self.any_drift_event = true;
@@ -336,7 +313,7 @@ impl ModelHealthMonitor {
                 "model drift detected: residual EWMA over threshold",
                 machine = machine,
                 ewma_kelvin = state.ewma,
-                threshold_kelvin = self.cfg.drift_high_kelvin,
+                threshold_kelvin = DRIFT_HIGH_KELVIN,
             );
             telemetry::counter("coolopt_health_drift_trips_total").inc();
         }
@@ -350,20 +327,19 @@ impl ModelHealthMonitor {
             self.closest_margin = margin_kelvin;
             self.closest_at = now.as_secs_f64();
         }
-        let cfg = &self.cfg;
         // Levels act on the low-pass-filtered margin so single-sample
         // noise spikes don't alarm; the raw sample above still drives
         // the closest-approach record.
         let smoothed = match self.margin_ewma {
             None => margin_kelvin,
-            Some(e) => (1.0 - cfg.margin_lambda) * e + cfg.margin_lambda * margin_kelvin,
+            Some(e) => (1.0 - MARGIN_LAMBDA) * e + MARGIN_LAMBDA * margin_kelvin,
         };
         self.margin_ewma = Some(smoothed);
-        let escalate_to = if smoothed < cfg.margin_critical_kelvin {
+        let escalate_to = if smoothed < MARGIN_CRITICAL_KELVIN {
             MarginLevel::Critical
-        } else if smoothed < cfg.margin_warn_kelvin {
+        } else if smoothed < MARGIN_WARN_KELVIN {
             MarginLevel::Warn
-        } else if smoothed < cfg.margin_info_kelvin {
+        } else if smoothed < MARGIN_INFO_KELVIN {
             MarginLevel::Info
         } else {
             MarginLevel::Ok
@@ -374,12 +350,12 @@ impl ModelHealthMonitor {
             // De-escalate only once the margin clears the *current*
             // level's threshold plus the hysteresis band.
             let release = match self.level {
-                MarginLevel::Critical => cfg.margin_critical_kelvin,
-                MarginLevel::Warn => cfg.margin_warn_kelvin,
-                MarginLevel::Info => cfg.margin_info_kelvin,
+                MarginLevel::Critical => MARGIN_CRITICAL_KELVIN,
+                MarginLevel::Warn => MARGIN_WARN_KELVIN,
+                MarginLevel::Info => MARGIN_INFO_KELVIN,
                 MarginLevel::Ok => f64::NEG_INFINITY,
             };
-            if smoothed > release + cfg.margin_hysteresis_kelvin {
+            if smoothed > release + MARGIN_HYSTERESIS_KELVIN {
                 escalate_to
             } else {
                 self.level
@@ -458,21 +434,29 @@ impl ModelHealthMonitor {
 mod tests {
     use super::*;
 
+    /// Feeds `margin` once a second for `samples` seconds from `*t` and
+    /// returns the level after each sample.
+    fn hold(
+        mon: &mut ModelHealthMonitor,
+        t: &mut f64,
+        margin: f64,
+        samples: usize,
+    ) -> Vec<MarginLevel> {
+        (0..samples)
+            .map(|_| {
+                mon.observe_margin(Seconds::new(*t), margin);
+                *t += 1.0;
+                mon.level
+            })
+            .collect()
+    }
+
     #[test]
     fn margin_levels_order_by_severity() {
         assert!(MarginLevel::Ok < MarginLevel::Info);
         assert!(MarginLevel::Info < MarginLevel::Warn);
         assert!(MarginLevel::Warn < MarginLevel::Critical);
         assert_eq!(MarginLevel::Critical.as_str(), "critical");
-    }
-
-    #[test]
-    fn config_defaults_are_consistent() {
-        let cfg = HealthConfig::default();
-        assert!(cfg.drift_low_kelvin <= cfg.drift_high_kelvin);
-        assert!(cfg.margin_critical_kelvin < cfg.margin_warn_kelvin);
-        assert!(cfg.margin_warn_kelvin < cfg.margin_info_kelvin);
-        assert_eq!(cfg.inject_bias_kelvin, 0.0);
     }
 
     #[test]
@@ -495,20 +479,25 @@ mod tests {
 
     #[test]
     fn constant_bias_trips_the_drift_detector() {
-        let cfg = HealthConfig::default();
-        let mut mon = ModelHealthMonitor::new(1, cfg);
+        let mut mon = ModelHealthMonitor::new(1, HealthConfig::default());
         // 6 K constant bias against a 4.5 K threshold: the warm-up
         // mean sits at 6 K already, so the detector trips as soon as
-        // it arms (sample 8).
-        for _ in 0..40 {
+        // it arms (sample 8), not a sample sooner.
+        for _ in 1..WARMUP_SAMPLES {
+            mon.observe_residual(0, 6.0);
+        }
+        assert!(!mon.machines[0].tripped, "armed before the warm-up ended");
+        mon.observe_residual(0, 6.0);
+        assert!(mon.machines[0].tripped, "armed but did not trip");
+        for _ in 0..32 {
             mon.observe_residual(0, 6.0);
         }
         let report = mon.finish();
         assert!(report.drifted);
         assert!(!report.healthy());
         assert!(report.machines[0].drifted);
-        assert!(report.machines[0].ewma_residual_kelvin > cfg.drift_high_kelvin);
-        assert!(report.machines[0].peak_abs_ewma_kelvin > cfg.drift_high_kelvin);
+        assert!(report.machines[0].ewma_residual_kelvin > DRIFT_HIGH_KELVIN);
+        assert!(report.machines[0].peak_abs_ewma_kelvin > DRIFT_HIGH_KELVIN);
     }
 
     #[test]
@@ -525,18 +514,19 @@ mod tests {
         assert!(!report.drifted);
         let peak = report.machines[0].peak_abs_ewma_kelvin;
         assert!(
-            peak < HealthConfig::default().drift_high_kelvin,
+            peak < DRIFT_HIGH_KELVIN,
             "peak EWMA {peak} should stay under the trip threshold"
         );
     }
 
     #[test]
     fn injected_bias_reaches_the_detector() {
-        let cfg = HealthConfig {
-            inject_bias_kelvin: 8.0,
-            ..HealthConfig::default()
-        };
-        let mut mon = ModelHealthMonitor::new(1, cfg);
+        let mut mon = ModelHealthMonitor::new(
+            1,
+            HealthConfig {
+                inject_bias_kelvin: 8.0,
+            },
+        );
         for _ in 0..40 {
             mon.observe_residual(0, 0.0);
         }
@@ -545,15 +535,24 @@ mod tests {
 
     #[test]
     fn drift_flag_rearms_below_the_low_threshold() {
-        let cfg = HealthConfig {
-            ewma_lambda: 0.5,
-            ..HealthConfig::default()
-        };
-        let mut mon = ModelHealthMonitor::new(1, cfg);
+        let mut mon = ModelHealthMonitor::new(1, HealthConfig::default());
         for _ in 0..10 {
             mon.observe_residual(0, 6.0);
         }
-        for _ in 0..20 {
+        assert!(mon.machines[0].tripped);
+        // Zero residuals decay the EWMA as 6·0.95ᵏ: it falls below the
+        // trip threshold after 6 samples, but the flag holds until it
+        // also clears the re-arm threshold (6·0.95²⁰ ≈ 2.15 K)…
+        for _ in 0..19 {
+            mon.observe_residual(0, 0.0);
+        }
+        let state = mon.machines[0];
+        assert!(state.ewma.abs() < DRIFT_HIGH_KELVIN);
+        assert!(state.ewma.abs() > DRIFT_LOW_KELVIN);
+        assert!(state.tripped, "re-armed above the low threshold");
+        mon.observe_residual(0, 0.0);
+        assert!(!mon.machines[0].tripped, "did not re-arm below it");
+        for _ in 0..40 {
             mon.observe_residual(0, 0.0);
         }
         let report = mon.finish();
@@ -566,24 +565,22 @@ mod tests {
 
     #[test]
     fn margin_monitor_escalates_and_records_closest_approach() {
-        // margin_lambda 1.0 levels on the raw samples, isolating the
-        // escalation state machine from the smoothing.
-        let mut mon = ModelHealthMonitor::new(
-            1,
-            HealthConfig {
-                margin_lambda: 1.0,
-                ..HealthConfig::default()
-            },
-        );
-        mon.observe_margin(Seconds::new(0.0), 10.0);
-        mon.observe_margin(Seconds::new(1.0), 2.0); // info
-        mon.observe_margin(Seconds::new(2.0), 1.0); // warn
-        mon.observe_margin(Seconds::new(3.0), 0.2); // critical
-        mon.observe_margin(Seconds::new(4.0), 9.0); // recovers
+        let mut mon = ModelHealthMonitor::new(1, HealthConfig::default());
+        // Each margin is held until the smoothed signal has settled on it.
+        let mut t = 0.0;
+        let mut levels = Vec::new();
+        for margin in [10.0, 2.0, 1.0, 0.2, 9.0] {
+            levels.extend(hold(&mut mon, &mut t, margin, 200));
+        }
+        levels.dedup();
+        // Escalation passes every level in order, and so does the
+        // recovery, each step once the band above it is cleared.
+        use MarginLevel::*;
+        assert_eq!(levels, [Ok, Info, Warn, Critical, Warn, Info, Ok]);
         let report = mon.finish();
-        assert_eq!(report.worst_level, MarginLevel::Critical);
+        assert_eq!(report.worst_level, Critical);
         assert_eq!(report.closest_margin_kelvin, 0.2);
-        assert_eq!(report.closest_margin_at_seconds, 3.0);
+        assert_eq!(report.closest_margin_at_seconds, 600.0);
         // The margin describes the operating point, not the model —
         // the model-health verdict stays clean without drift.
         assert!(report.healthy());
@@ -607,20 +604,24 @@ mod tests {
 
     #[test]
     fn margin_hysteresis_suppresses_dither() {
-        let cfg = HealthConfig {
-            margin_lambda: 1.0,
-            ..HealthConfig::default()
-        };
-        let mut mon = ModelHealthMonitor::new(1, cfg);
-        mon.observe_margin(Seconds::new(0.0), 1.4); // warn
-                                                    // Dithering just above the warn threshold but inside the
-                                                    // hysteresis band keeps the level at warn…
-        mon.observe_margin(Seconds::new(1.0), 1.6);
-        mon.observe_margin(Seconds::new(2.0), 1.55);
+        let mut mon = ModelHealthMonitor::new(1, HealthConfig::default());
+        let mut t = 0.0;
+        assert!(hold(&mut mon, &mut t, 1.4, 200)
+            .iter()
+            .all(|&l| l == MarginLevel::Warn));
+        // Dithering just above the warn threshold but inside the
+        // hysteresis band keeps the level at warn…
+        for _ in 0..200 {
+            for margin in [1.6, 1.55] {
+                assert_eq!(hold(&mut mon, &mut t, margin, 1), [MarginLevel::Warn]);
+            }
+        }
         // …and clearing the band de-escalates.
-        mon.observe_margin(Seconds::new(3.0), 2.9);
-        let report = mon.finish();
-        assert_eq!(report.worst_level, MarginLevel::Warn);
+        assert_eq!(
+            hold(&mut mon, &mut t, 2.9, 200).last(),
+            Some(&MarginLevel::Info)
+        );
+        assert_eq!(mon.finish().worst_level, MarginLevel::Warn);
     }
 
     #[test]

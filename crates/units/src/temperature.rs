@@ -36,7 +36,7 @@ impl Temperature {
     }
 
     /// Creates a temperature from degrees Celsius.
-    pub fn from_celsius(c: f64) -> Self {
+    pub const fn from_celsius(c: f64) -> Self {
         Temperature(c + KELVIN_OFFSET)
     }
 

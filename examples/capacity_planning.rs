@@ -9,14 +9,14 @@
 //! ```
 
 use coolopt::core::{consolidated_power, solve};
-use coolopt::profiling::{profile_room_full, ProfileOptions};
+use coolopt::profiling::profile_room;
 use coolopt::room::presets;
 use coolopt::units::{Seconds, TempDelta, Temperature};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut room = presets::parametric_rack(10, 3);
     println!("profiling a 10-machine rack…");
-    let profile = profile_room_full(&mut room, &ProfileOptions::default())?;
+    let profile = profile_room(&mut room, Temperature::from_celsius(60.0))?;
     let model = profile.model.clone();
     let load = 5.0; // 50 % of the rack
 

@@ -13,7 +13,6 @@ use coolopt::alloc::Method;
 use coolopt::experiments::{
     figures, render_figure, run_sweep, savings_summary, SweepOptions, Testbed,
 };
-use coolopt::units::Seconds;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("building and profiling the 20-machine testbed…");
@@ -34,8 +33,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     let options = SweepOptions {
         load_percents: vec![20.0, 50.0, 80.0],
-        settle_max: Seconds::new(4000.0),
-        window: Seconds::new(60.0),
         ..SweepOptions::default()
     };
     println!(

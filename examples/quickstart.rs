@@ -7,9 +7,9 @@
 
 use coolopt::alloc::{Method, Planner};
 use coolopt::core::solve;
-use coolopt::profiling::{profile_room_full, ProfileOptions};
+use coolopt::profiling::profile_room;
 use coolopt::room::presets;
-use coolopt::units::Seconds;
+use coolopt::units::{Seconds, Temperature};
 use coolopt::workload::{Capacity, DocumentGenerator, LoadBalancer, LoadVector};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut room = presets::parametric_rack(8, 7);
 
     println!("profiling the rack (the paper's §IV-A staircases)…");
-    let profile = profile_room_full(&mut room, &ProfileOptions::default())?;
+    let profile = profile_room(&mut room, Temperature::from_celsius(60.0))?;
     println!(
         "  power model   : {}  (r² = {:.4})",
         profile.model.power(),

@@ -13,8 +13,8 @@
 
 use coolopt::alloc::{fig4_matrix, Method, Planner};
 use coolopt::core::{consolidated_power, solve};
-use coolopt::profiling::{profile_room_full, ProfileOptions, RoomProfile};
-use coolopt::room::presets;
+use coolopt::experiments::Testbed;
+use coolopt::profiling::RoomProfile;
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -99,9 +99,9 @@ fn cmd_profile(flags: &HashMap<String, String>) -> Result<(), String> {
     let out = required(flags, "out")?;
 
     eprintln!("building and profiling a {machines}-machine rack (seed {seed})…");
-    let mut room = presets::parametric_rack(machines, seed);
-    let profile =
-        profile_room_full(&mut room, &ProfileOptions::default()).map_err(|e| e.to_string())?;
+    let profile = Testbed::build_sized(machines, seed)
+        .map_err(|e| e.to_string())?
+        .profile;
     eprintln!(
         "fitted: {} | {} machines | supply ceiling {:.1} °C",
         profile.model.power(),

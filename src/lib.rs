@@ -30,11 +30,13 @@
 //! use coolopt::room::presets::testbed_rack20;
 //! use coolopt::profiling::profile_room;
 //! use coolopt::core::closed_form::optimal_allocation;
+//! use coolopt::units::Temperature;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! // Build the simulated 20-machine rack and profile it, as in §IV-A.
+//! // Build the simulated 20-machine rack and profile it, as in §IV-A,
+//! // for a CPU temperature cap of 60 °C.
 //! let mut room = testbed_rack20(42);
-//! let model = profile_room(&mut room)?;
+//! let model = profile_room(&mut room, Temperature::from_celsius(60.0))?.model;
 //! // Solve for the energy-optimal cooling temperature and load split at 60 %.
 //! let on: Vec<usize> = (0..20).collect();
 //! let solution = optimal_allocation(&model, &on, 0.6 * 20.0)?;

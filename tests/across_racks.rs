@@ -5,15 +5,15 @@
 //! optimum actually exploits the cross-rack structure.
 
 use coolopt::alloc::{Method, Planner};
-use coolopt::profiling::{profile_room_full, ProfileOptions};
+use coolopt::profiling::profile_room;
 use coolopt::room::presets::dual_zone_room;
-use coolopt::units::Seconds;
+use coolopt::units::{Seconds, Temperature};
 
 #[test]
 fn optimal_consolidation_prefers_the_near_rack() {
     let per_rack = 4;
     let mut room = dual_zone_room(per_rack, 11);
-    let profile = profile_room_full(&mut room, &ProfileOptions::default())
+    let profile = profile_room(&mut room, Temperature::from_celsius(60.0))
         .expect("dual-zone room profiles cleanly");
 
     // The fitted models must expose the split. (Not through α: set-point

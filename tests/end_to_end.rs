@@ -3,15 +3,16 @@
 
 use coolopt::alloc::{Method, Planner};
 use coolopt::core::{consolidated_power, solve};
-use coolopt::profiling::{profile_room_full, ProfileOptions};
+use coolopt::profiling::profile_room;
 use coolopt::room::presets;
-use coolopt::units::Seconds;
+use coolopt::units::{Seconds, Temperature};
+
+const T_MAX: Temperature = Temperature::from_celsius(60.0);
 
 #[test]
 fn profile_plan_deploy_measure() {
     let mut room = presets::parametric_rack(5, 101);
-    let profile = profile_room_full(&mut room, &ProfileOptions::default())
-        .expect("profiling the preset rack succeeds");
+    let profile = profile_room(&mut room, T_MAX).expect("profiling the preset rack succeeds");
 
     let planner = Planner::new(&profile.model, &profile.cooling.set_points);
     let plan = planner
@@ -52,7 +53,7 @@ fn profile_plan_deploy_measure() {
 #[test]
 fn model_prediction_tracks_simulator_measurement() {
     let mut room = presets::parametric_rack(5, 103);
-    let profile = profile_room_full(&mut room, &ProfileOptions::default()).unwrap();
+    let profile = profile_room(&mut room, T_MAX).unwrap();
     let model = &profile.model;
 
     let solution = solve(model, 2.0).expect("solvable load");
@@ -78,7 +79,7 @@ fn model_prediction_tracks_simulator_measurement() {
 fn optimal_beats_even_on_the_simulator_not_just_on_paper() {
     let measure = |method: Method| {
         let mut room = presets::parametric_rack(5, 107);
-        let profile = profile_room_full(&mut room, &ProfileOptions::default()).unwrap();
+        let profile = profile_room(&mut room, T_MAX).unwrap();
         let planner = Planner::new(&profile.model, &profile.cooling.set_points);
         let plan = planner.plan(method, 2.0).unwrap();
         room.apply_on_set(&plan.on);

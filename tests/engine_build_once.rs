@@ -30,10 +30,7 @@ fn replanning_a_20_step_trace_builds_the_index_exactly_once() {
         Method::numbered(8),
         &trace,
         duration,
-        &RuntimeOptions {
-            replan_interval: Seconds::new(200.0),
-            ..RuntimeOptions::default()
-        },
+        &RuntimeOptions::default(),
     )
     .expect("trace run succeeds");
     let after = ConsolidationIndex::build_count();

@@ -57,7 +57,6 @@ fn stock_preset_is_drift_free_and_injected_bias_trips() {
     let drifted_options = RuntimeOptions {
         health: HealthConfig {
             inject_bias_kelvin: 8.0,
-            ..HealthConfig::default()
         },
         ..RuntimeOptions::default()
     };

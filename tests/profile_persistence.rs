@@ -3,13 +3,14 @@
 //! `coolopt` CLI relies on).
 
 use coolopt::alloc::{Method, Planner};
-use coolopt::profiling::{profile_room_full, ProfileOptions, RoomProfile};
+use coolopt::profiling::{profile_room, RoomProfile};
 use coolopt::room::presets;
+use coolopt::units::Temperature;
 
 #[test]
 fn profile_round_trips_through_json_and_plans_identically() {
     let mut room = presets::parametric_rack(4, 201);
-    let profile = profile_room_full(&mut room, &ProfileOptions::default()).unwrap();
+    let profile = profile_room(&mut room, Temperature::from_celsius(60.0)).unwrap();
 
     let json = serde_json::to_string(&profile).expect("profile serializes");
     let restored: RoomProfile = serde_json::from_str(&json).expect("profile deserializes");
